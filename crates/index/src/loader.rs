@@ -2,8 +2,10 @@
 //!
 //! Implements Algorithm 2 line 19: "load data region with m(p*_i)". The
 //! loader resolves the cell's chunk set through the mapping, merges the
-//! chunks into tuples (hash-table reconstruction, chunk-at-a-time within
-//! the cache budget), and keeps a running average of the load time τ that
+//! chunks into tuples (`uei_storage::merge`: each dimension's chunks are
+//! read in order through the cache and decoded in parallel, rows are
+//! intersected over dense row-id marks and only the survivors are
+//! materialized), and keeps a running average of the load time τ that
 //! the prefetcher's horizon θ = ⌈τ/σ⌉ is derived from.
 
 use std::sync::Arc;
@@ -247,8 +249,8 @@ impl RegionLoader {
         // Transient read errors (flaky device, injected fault) are retried
         // with backoff charged to the virtual clock; corruption and hard
         // I/O errors propagate immediately for the caller's fallback
-        // ladder. Reconstruction has no partial side effects — the merge
-        // table is rebuilt per attempt — so a retry is a clean re-run.
+        // ladder. Reconstruction has no partial side effects — the mark
+        // array is rebuilt per attempt — so a retry is a clean re-run.
         let ((rows, merge, set), retries) = policy.run(source.tracker(), || {
             // One merge span per attempt: retried merges each count.
             let _merge_span = tel.span(Phase::ChunkMerge);

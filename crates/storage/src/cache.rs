@@ -143,11 +143,27 @@ impl ChunkCache {
     /// cached (they would immediately evict everything and then
     /// themselves); such lookups count as [`CacheStats::bypasses`].
     pub fn get_or_load(&mut self, source: &dyn ChunkSource, id: ChunkId) -> Result<Arc<Chunk>> {
+        self.get_or_load_with(id, || source.read_chunk(id).map(Arc::new))
+    }
+
+    /// Whether `id` is resident. Touches neither recency nor counters.
+    pub(crate) fn contains(&self, id: ChunkId) -> bool {
+        self.lru.contains(&id)
+    }
+
+    /// [`Self::get_or_load`] with the miss path supplied by the caller:
+    /// `load` runs only on a miss and yields the chunk to admit. The batched
+    /// region loader passes chunks it has already read and decoded.
+    pub(crate) fn get_or_load_with(
+        &mut self,
+        id: ChunkId,
+        load: impl FnOnce() -> Result<Arc<Chunk>>,
+    ) -> Result<Arc<Chunk>> {
         if let Some((chunk, _)) = self.lru.get(&id) {
             self.stats.hits += 1;
             return Ok(Arc::clone(chunk));
         }
-        let chunk = Arc::new(source.read_chunk(id)?);
+        let chunk = load()?;
         let size = approx_chunk_bytes(&chunk);
         if size > self.budget_bytes {
             self.stats.bypasses += 1;
@@ -314,7 +330,21 @@ impl SharedChunkCache {
     /// Chunks larger than the shard budget bypass admission and count in
     /// [`CacheStats::bypasses`].
     pub fn get_or_load(&self, source: &dyn ChunkSource, id: ChunkId) -> Result<Arc<Chunk>> {
+        self.get_or_load_before_wait(source, id, || {})
+    }
+
+    /// [`Self::get_or_load`], running `before_wait` once, outside the
+    /// shard lock, before the first wait on another thread's in-flight
+    /// read of `id`. A caller holding claims of its own settles them there,
+    /// so two callers can never wait on each other's claims.
+    pub(crate) fn get_or_load_before_wait(
+        &self,
+        source: &dyn ChunkSource,
+        id: ChunkId,
+        before_wait: impl FnOnce(),
+    ) -> Result<Arc<Chunk>> {
         let shard = self.shard(id);
+        let mut before_wait = Some(before_wait);
         {
             let mut state = shard.state.lock();
             loop {
@@ -323,6 +353,12 @@ impl SharedChunkCache {
                     return Ok(Arc::clone(chunk));
                 }
                 if state.inflight.contains(&id) {
+                    if let Some(hook) = before_wait.take() {
+                        drop(state);
+                        hook();
+                        state = shard.state.lock();
+                        continue;
+                    }
                     // Another thread is reading this chunk; wait for it to
                     // publish (or fail) and re-check.
                     shard.flights.wait(&mut state);
@@ -335,7 +371,37 @@ impl SharedChunkCache {
         // Read without holding the shard lock so other chunks of this
         // shard stay available, and so the condvar wait above can't
         // deadlock against the I/O.
-        let outcome = source.read_chunk(id);
+        self.publish(id, source.read_chunk(id))
+    }
+
+    /// Claims `id` for the caller's own read if it is neither resident nor
+    /// in flight on another thread. Counts nothing and never waits. A
+    /// `true` return obliges the caller to [`Self::publish`] or
+    /// [`Self::release`] the claim; until then, other threads asking for
+    /// `id` wait for it instead of reading it twice.
+    pub(crate) fn try_claim(&self, id: ChunkId) -> bool {
+        let mut state = self.shard(id).state.lock();
+        if state.lru.contains(&id) || state.inflight.contains(&id) {
+            return false;
+        }
+        state.inflight.insert(id);
+        true
+    }
+
+    /// Ends the caller's claim on `id` without admitting anything; waiters
+    /// wake up and look the chunk up themselves.
+    pub(crate) fn release(&self, id: ChunkId) {
+        let shard = self.shard(id);
+        shard.state.lock().inflight.remove(&id);
+        shard.flights.notify_all();
+    }
+
+    /// Ends the caller's claim on `id` with the outcome of its read:
+    /// wakes waiters and, on success, admits the chunk under the usual
+    /// budget rules (a miss, or a bypass when it exceeds the shard
+    /// budget). Failures are never cached.
+    pub(crate) fn publish(&self, id: ChunkId, outcome: Result<Chunk>) -> Result<Arc<Chunk>> {
+        let shard = self.shard(id);
         let mut state = shard.state.lock();
         state.inflight.remove(&id);
         shard.flights.notify_all();
@@ -477,13 +543,33 @@ impl SessionChunkView {
     /// read the chunk. `session` supplies the catalog lookup for the
     /// modeled cost and the tracker to bill it to.
     pub fn get_or_load(&mut self, session: &dyn ChunkSource, id: ChunkId) -> Result<Arc<Chunk>> {
+        let (shared, physical) = (Arc::clone(&self.shared), Arc::clone(&self.physical));
+        self.get_or_load_with(session, id, || shared.get_or_load(physical.as_ref(), id))
+    }
+
+    /// The engine's source handle that shared-cache misses read through.
+    pub(crate) fn physical(&self) -> &Arc<dyn ChunkSource> {
+        &self.physical
+    }
+
+    /// [`Self::get_or_load`] with the physical fetch supplied by the
+    /// caller: `load` must yield the chunk's bytes from the shared cache
+    /// (the batched region loader passes chunks it has already published
+    /// there). The ghost ledger and `session`'s charges are decided exactly
+    /// as in [`Self::get_or_load`].
+    pub(crate) fn get_or_load_with(
+        &mut self,
+        session: &dyn ChunkSource,
+        id: ChunkId,
+        load: impl FnOnce() -> Result<Arc<Chunk>>,
+    ) -> Result<Arc<Chunk>> {
         if self.ghost.get(&id).is_some() {
             self.stats.hits += 1;
             // Served from "our" cache in the model. Physically the chunk
             // may have been evicted from the shared cache by other
             // sessions; re-fetching it then bills the engine ledger, never
             // this session.
-            return self.shared.get_or_load(self.physical.as_ref(), id);
+            return load();
         }
         // Ghost miss: a private cache would have read the file here, so
         // bill the session the catalog cost of that read (one seek plus
@@ -491,7 +577,7 @@ impl SessionChunkView {
         // sessions' behaviour. Failed fetches charge nothing, matching the
         // private path where a read errors before any bytes move.
         let file_size = session.chunk_file_size(id)?;
-        let chunk = self.shared.get_or_load(self.physical.as_ref(), id)?;
+        let chunk = load()?;
         session.tracker().record_read(file_size, 1);
         let size = approx_chunk_bytes(&chunk);
         if size > self.budget_bytes {
@@ -519,7 +605,9 @@ impl SessionChunkView {
 /// [`SessionChunkView`]), exposed so tests can recompute a cache's exact
 /// expected occupancy from its resident chunks.
 pub fn approx_chunk_bytes(chunk: &Chunk) -> usize {
-    // Per posting list: key (8) + Vec header (~24); per id: 8.
+    // Per posting list 32, per id 8. The flat layout holds less, but every
+    // budget, eviction and ghost-ledger charge is defined in this unit, so
+    // it stays fixed and modeled traces do not move.
     chunk.num_entries() * 32 + chunk.num_ids() * 8
 }
 

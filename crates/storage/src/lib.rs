@@ -15,13 +15,15 @@
 //!   model so that "dataset 100× larger than memory" can be reproduced on a
 //!   laptop (see DESIGN.md §2, substitution 8);
 //! - [`postings`] / [`chunk`] — the on-disk chunk format (delta-encoded
-//!   varint posting lists, CRC-32 protected);
+//!   varint posting lists, CRC-32 protected), decoded into flat arrays;
 //! - [`manifest`] — the per-dataset catalog of chunks and their key ranges;
 //! - [`column`](mod@column) — vertical decomposition of row data into sorted postings;
 //! - [`store`] — [`store::ColumnStore`]: creation (index-initialization
 //!   phase, Algorithm 2 lines 2–6) and reading;
-//! - [`merge`] — hash-table reconstruction of a subspace from its chunks
-//!   (Algorithm 2 line 19), chunk-at-a-time to bound memory;
+//! - [`merge`] — reconstruction of a subspace from its chunks (Algorithm 2
+//!   line 19): one batched fetch path for every cache mode, then an
+//!   intersect-first merge over dense row-id marks that materializes only
+//!   the surviving rows;
 //! - [`cache`] — byte-budgeted LRU chunk caches: a single-owner
 //!   [`cache::ChunkCache`], a sharded, lock-striped
 //!   [`cache::SharedChunkCache`] shared by the foreground loader, the

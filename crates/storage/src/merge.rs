@@ -1,4 +1,4 @@
-//! Hash-table reconstruction of a subspace from its chunks.
+//! Reconstruction of a subspace from its chunks.
 //!
 //! Implements the merge process of paper §3.1: "to reconstruct each g when
 //! needed, UEI utilizes a hash table [...] UEI iterates through each
@@ -6,14 +6,26 @@
 //! time, and each entry in the chunk would be visited in a sequential
 //! manner. For each object ID that is recorded in a loaded data chunk, the
 //! value associated with the ID will be inserted into the corresponding
-//! entry in the hash table. Once a chunk has been examined, UEI will
-//! release the memory space used to hold the data chunk."
+//! entry in the hash table."
 //!
 //! A row belongs to the subspace only if *every* dimension's value falls in
-//! the cell's range, so the hash table doubles as an intersection: after
-//! dimension 0 seeds the candidate set, later dimensions only fill in
-//! values for rows already present, and rows that miss any dimension are
-//! dropped at the end.
+//! the cell's range. Row ids are dense (`0..n`, see
+//! [`ColumnStore::create`]), so a byte per row id stands in for the
+//! paper's hash table: `marks[id]` counts the leading dimensions whose
+//! range holds row `id`. Dimension 0 seeds the candidates, each later
+//! dimension advances only the rows that survived all earlier ones, and
+//! rows that miss any dimension are never materialized. One late pass then
+//! fills values for the survivors alone, which come out of the mark array
+//! already in id order. The work counters ([`MergeStats`]) are defined by
+//! the hash-table formulation and stay exactly what it would count.
+//!
+//! Chunks are fetched one dimension at a time by a single batched path for
+//! every [`ChunkFetch`] mode: the reads the chunk-at-a-time walk would
+//! issue happen first, one after another in walk order; the CPU-bound
+//! decodes then fan out across cores; finally each cache's own per-chunk
+//! admission (and a session's ghost ledger) runs over the decoded chunks in
+//! walk order, so hit/miss counters and modeled charges match the
+//! chunk-at-a-time walk.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,6 +37,10 @@ use crate::cache::{ChunkCache, SessionChunkView, SharedChunkCache};
 use crate::chunk::{Chunk, ChunkId};
 use crate::source::ChunkSource;
 use crate::store::ColumnStore;
+
+/// Largest row id the mark array accepts. Ids are dense, so this caps the
+/// array at 4 GiB even for a hostile chunk that passed its checksums.
+const MAX_ROW_ID: u64 = u32::MAX as u64;
 
 /// Work counters from one reconstruction; these are the `e` of the paper's
 /// O(ke) per-iteration complexity claim (§3.3).
@@ -43,7 +59,9 @@ pub struct MergeStats {
     pub bytes_reused: u64,
     /// Posting-list entries whose key fell inside the per-dimension range.
     pub entries_matched: u64,
-    /// Row-id insertions/updates performed on the hash table.
+    /// Row-id insertions/updates the paper's hash table would perform:
+    /// every matched id of dimension 0, then every matched id of a later
+    /// dimension that dimension 0 seeded.
     pub id_updates: u64,
     /// Candidate rows after the seed dimension.
     pub seed_candidates: u64,
@@ -54,8 +72,8 @@ pub struct MergeStats {
 /// How [`reconstruct_region_with_chunks`] materializes chunk files.
 #[derive(Debug)]
 pub enum ChunkFetch<'a> {
-    /// Read every chunk from disk and drop it after the scan — the paper's
-    /// default chunk-at-a-time behaviour (§3.1).
+    /// Read every chunk from disk and drop it after the merge — the
+    /// paper's default chunk-at-a-time behaviour (§3.1).
     Uncached,
     /// Fetch through a single-owner [`ChunkCache`].
     Cached(&'a mut ChunkCache),
@@ -118,18 +136,12 @@ impl RegionChunkSet {
     }
 }
 
-#[derive(Debug)]
-struct Candidate {
-    values: Vec<f64>,
-    seen: u64, // bitmask of dimensions filled in
-}
-
 /// Reconstructs every row of `region` from the store's inverted chunks.
 ///
 /// Chunks are fetched through `cache` when provided (UEI's configurable
-/// in-memory chunk budget), otherwise read chunk-at-a-time and dropped, the
-/// paper's default. Supports up to 64 dimensions (the bitmask width); the
-/// paper's experiments use 5.
+/// in-memory chunk budget), otherwise read and dropped after the merge, the
+/// paper's default. Supports up to 64 dimensions; the paper's experiments
+/// use 5.
 ///
 /// Returns the rows (ordered by row id) and the work counters.
 pub fn reconstruct_region(
@@ -212,20 +224,20 @@ fn reconstruct_inner(
     }
     let inclusive_hi = region.is_closed();
     let mut stats = MergeStats::default();
-    let mut table: HashMap<u64, Candidate> = HashMap::new();
     let mut new_set = collect.then(RegionChunkSet::new);
+    // marks[id] = how many leading dimensions hold row `id` in range
+    // (0 = not a candidate); grown to the largest seeded id.
+    let mut marks: Vec<u8> = Vec::new();
+    // Each dimension's chunks, kept for the late value pass.
+    let mut loaded: Vec<Vec<Arc<Chunk>>> = Vec::with_capacity(dims);
 
+    // Intersect: mark ids dimension by dimension, materializing nothing.
     for d in 0..dims {
         let (lo, hi) = (region.lo[d], region.hi[d]);
-        let bit = 1u64 << d;
-        // Materialize this dimension's chunks first, reusing the previous
-        // region's decoded chunks where possible. Cache modes keep the
-        // original chunk-at-a-time behaviour through the cache; uncached
-        // mode reads every missing file sequentially (deterministic
-        // modeled I/O) and then runs the CPU-bound CRC-validating decodes
-        // in parallel.
-        let loaded = load_dimension(source, &chunks_per_dim[d], &mut fetch, prev)?;
-        for (chunk, file_size, reused) in loaded {
+        let mut dim_chunks = Vec::with_capacity(chunks_per_dim[d].len());
+        for (chunk, file_size, reused) in
+            load_dimension(source, &chunks_per_dim[d], &mut fetch, prev)?
+        {
             if reused {
                 stats.chunks_reused += 1;
                 stats.bytes_reused += file_size;
@@ -236,53 +248,69 @@ fn reconstruct_inner(
             if let Some(set) = new_set.as_mut() {
                 set.insert(chunk.id, Arc::clone(&chunk), file_size);
             }
-            chunk.scan_range(lo, hi, inclusive_hi, |entry| {
-                stats.entries_matched += 1;
-                for &id in &entry.ids {
-                    if d == 0 {
-                        stats.id_updates += 1;
-                        table.insert(
-                            id,
-                            Candidate {
-                                values: {
-                                    let mut v = vec![0.0; dims];
-                                    v[0] = entry.key;
-                                    v
-                                },
-                                seen: bit,
-                            },
-                        );
-                    } else if let Some(c) = table.get_mut(&id) {
-                        stats.id_updates += 1;
-                        c.values[d] = entry.key;
-                        c.seen |= bit;
+            let run = chunk.run_in(lo, hi, inclusive_hi);
+            stats.entries_matched += run.len() as u64;
+            let ids = run.ids();
+            if d == 0 {
+                stats.id_updates += ids.len() as u64;
+                let max_id = ids.iter().copied().max().unwrap_or(0);
+                if max_id > MAX_ROW_ID {
+                    return Err(UeiError::corrupt(format!(
+                        "row id {max_id} exceeds the dense id space (max {MAX_ROW_ID})"
+                    )));
+                }
+                if !ids.is_empty() && max_id as usize >= marks.len() {
+                    marks.resize(max_id as usize + 1, 0);
+                }
+                for &id in ids {
+                    let m = &mut marks[id as usize];
+                    stats.seed_candidates += u64::from(*m == 0);
+                    *m = 1;
+                }
+            } else {
+                let step = d as u8;
+                for &id in ids {
+                    if let Some(m) = marks.get_mut(id as usize) {
+                        stats.id_updates += u64::from(*m != 0);
+                        *m += u8::from(*m == step);
                     }
                 }
-            });
-            // `chunk` drops here; memory held at once is bounded by one
-            // dimension's chunk set for the cell (plus whatever the cache
-            // retains within its budget, plus the retained region set in
-            // delta mode).
-        }
-        if d == 0 {
-            stats.seed_candidates = table.len() as u64;
-            if table.is_empty() {
-                // No candidate can survive the intersection; skip the
-                // remaining dimensions entirely. (In delta mode the
-                // returned set then only covers dimension 0 — reuse is
-                // keyed per chunk, so a partial set is still valid.)
-                break;
             }
+            dim_chunks.push(chunk);
+        }
+        loaded.push(dim_chunks);
+        if d == 0 && stats.seed_candidates == 0 {
+            // No candidate can survive the intersection; skip the
+            // remaining dimensions entirely. (In delta mode the returned
+            // set then only covers dimension 0 — reuse is keyed per chunk,
+            // so a partial set is still valid.)
+            return Ok((Vec::new(), stats, new_set));
         }
     }
 
-    let full = if dims == 64 { u64::MAX } else { (1u64 << dims) - 1 };
-    let mut rows: Vec<DataPoint> = table
-        .into_iter()
-        .filter(|(_, c)| c.seen == full)
-        .map(|(id, c)| DataPoint::new(id, c.values))
+    // Materialize late: only rows marked in every dimension, in id order.
+    let full = dims as u8;
+    let mut rows: Vec<DataPoint> = marks
+        .iter()
+        .enumerate()
+        .filter(|&(_, &m)| m == full)
+        .map(|(id, _)| DataPoint::new(id as u64, vec![0.0; dims]))
         .collect();
-    rows.sort_unstable_by_key(|p| p.id);
+    if !rows.is_empty() {
+        for (d, chunks) in loaded.iter().enumerate() {
+            for chunk in chunks {
+                let run = chunk.run_in(region.lo[d], region.hi[d], inclusive_hi);
+                for (pos, &id) in run.ids().iter().enumerate() {
+                    if marks.get(id as usize) == Some(&full) {
+                        let at = rows
+                            .binary_search_by_key(&id, |p| p.id.as_u64())
+                            .expect("every full mark has a row");
+                        rows[at].values[d] = run.key_of(pos);
+                    }
+                }
+            }
+        }
+    }
     stats.result_rows = rows.len() as u64;
     Ok((rows, stats, new_set))
 }
@@ -290,6 +318,26 @@ fn reconstruct_inner(
 /// Materializes one dimension's chunk list in caller order, marking each
 /// chunk as reused (`true`, taken from `prev` with zero I/O) or fetched
 /// (`false`, materialized through `fetch`).
+///
+/// One path serves every fetch mode, in four steps:
+///
+/// 1. **Plan.** Find the chunks the chunk-at-a-time walk would read: all
+///    of them uncached, the non-resident ones in a private cache. A shared
+///    cache (directly or under a session view) *claims* its absent chunks
+///    single-flight, so a concurrent loader waits for this one's read
+///    instead of repeating it; chunks already in flight elsewhere are left
+///    to the walk, which waits for them.
+/// 2. **Read** the planned chunks one after another in walk order — the
+///    sequence the I/O model and the fault injector see — stopping at the
+///    first failure, which the walk then surfaces at that chunk.
+/// 3. **Decode** them in parallel: CRC check plus posting-list parsing,
+///    pure CPU.
+/// 4. **Walk** the chunks in order through the cache's unchanged
+///    per-chunk admission (and a session's ghost ledger), handing it the
+///    decoded chunk where its miss path would have read one. Claimed
+///    chunks are published to the shared cache at their turn. A chunk the
+///    plan found resident but an earlier admission evicted is read on the
+///    spot, exactly as the chunk-at-a-time walk would.
 fn load_dimension(
     source: &dyn ChunkSource,
     chunk_ids: &[ChunkId],
@@ -297,81 +345,172 @@ fn load_dimension(
     prev: Option<&RegionChunkSet>,
 ) -> Result<Vec<(Arc<Chunk>, u64, bool)>> {
     // Resolve reuse first so the fetch path only sees the delta.
-    let mut slots: Vec<Option<(Arc<Chunk>, u64)>> =
+    let reused: Vec<Option<(Arc<Chunk>, u64)>> =
         chunk_ids.iter().map(|&id| prev.and_then(|p| p.get(id))).collect();
     let missing: Vec<ChunkId> = chunk_ids
         .iter()
-        .zip(&slots)
+        .zip(&reused)
         .filter(|(_, slot)| slot.is_none())
         .map(|(&id, _)| id)
         .collect();
 
-    let fetched: Vec<(Arc<Chunk>, u64)> = match fetch {
-        ChunkFetch::Uncached => decode_chunks_uncached(source, &missing)?,
-        ChunkFetch::Cached(cache) => {
-            let mut v = Vec::with_capacity(missing.len());
-            for &id in &missing {
-                let file_size = source.chunk_file_size(id)?;
-                v.push((cache.get_or_load(source, id)?, file_size));
-            }
-            v
-        }
-        ChunkFetch::Shared(cache) => {
-            let mut v = Vec::with_capacity(missing.len());
-            for &id in &missing {
-                let file_size = source.chunk_file_size(id)?;
-                v.push((cache.get_or_load(source, id)?, file_size));
-            }
-            v
-        }
-        ChunkFetch::Session(view) => {
-            let mut v = Vec::with_capacity(missing.len());
-            for &id in &missing {
-                let file_size = source.chunk_file_size(id)?;
-                v.push((view.get_or_load(source, id)?, file_size));
-            }
-            v
-        }
+    // A session view's shared misses read through the engine's physical
+    // handle; every other mode reads through the caller's source.
+    let view_parts = match fetch {
+        ChunkFetch::Session(v) => Some((Arc::clone(v.shared()), Arc::clone(v.physical()))),
+        _ => None,
     };
+    let shared: Option<&SharedChunkCache> = match &*fetch {
+        ChunkFetch::Shared(c) => Some(*c),
+        _ => view_parts.as_ref().map(|(c, _)| c.as_ref()),
+    };
+    let reader: &dyn ChunkSource = view_parts.as_ref().map_or(source, |(_, p)| p.as_ref());
 
-    let mut fetched = fetched.into_iter();
-    Ok(slots
-        .iter_mut()
-        .map(|slot| match slot.take() {
-            Some((chunk, size)) => (chunk, size, true),
-            None => {
-                let (chunk, size) = fetched.next().expect("one fetched chunk per missing slot");
-                (chunk, size, false)
+    // 1. Plan.
+    let slots = missing
+        .iter()
+        .map(|&id| {
+            let read = match (shared, &*fetch) {
+                (Some(c), _) => c.try_claim(id),
+                (None, ChunkFetch::Cached(c)) => !c.contains(id),
+                _ => true,
+            };
+            if read {
+                Slot::Planned(None)
+            } else {
+                Slot::Absent
             }
         })
-        .collect())
+        .collect();
+    let mut batch = Batch { shared, ids: missing, slots };
+
+    // 2. Read.
+    let mut reads: Vec<(usize, Result<Vec<u8>>)> = Vec::new();
+    for (k, slot) in batch.slots.iter().enumerate() {
+        if matches!(slot, Slot::Planned(_)) {
+            let bytes = reader.read_chunk_bytes(batch.ids[k]);
+            let failed = bytes.is_err();
+            reads.push((k, bytes));
+            if failed {
+                break;
+            }
+        }
+    }
+
+    // 3. Decode.
+    let ids = &batch.ids;
+    let decode = |(k, bytes): (usize, Result<Vec<u8>>)| {
+        (k, bytes.and_then(|b| reader.decode_chunk(ids[k], &b)))
+    };
+    let decoded: Vec<(usize, Result<Chunk>)> =
+        if reads.len() >= 2 && rayon::current_num_threads() > 1 {
+            reads.into_par_iter().map(decode).collect()
+        } else {
+            reads.into_iter().map(decode).collect()
+        };
+    for (k, outcome) in decoded {
+        batch.slots[k] = Slot::Planned(Some(outcome));
+    }
+
+    // 4. Walk.
+    let mut out = Vec::with_capacity(chunk_ids.len());
+    let mut k = 0;
+    for (&id, slot) in chunk_ids.iter().zip(reused) {
+        if let Some((chunk, file_size)) = slot {
+            out.push((chunk, file_size, true));
+            continue;
+        }
+        let file_size = source.chunk_file_size(id)?;
+        let mut load = || match batch.take(k) {
+            Some(outcome) => outcome,
+            None => match shared {
+                Some(c) => c.get_or_load_before_wait(reader, id, || batch.settle_from(k + 1)),
+                None => reader.read_chunk(id).map(Arc::new),
+            },
+        };
+        let chunk = match fetch {
+            ChunkFetch::Uncached | ChunkFetch::Shared(_) => load(),
+            ChunkFetch::Cached(c) => c.get_or_load_with(id, load),
+            ChunkFetch::Session(v) => v.get_or_load_with(source, id, load),
+        }?;
+        out.push((chunk, file_size, false));
+        k += 1;
+    }
+    Ok(out)
 }
 
-/// Reads and decodes one dimension's chunk set without a cache: all file
-/// reads happen first, sequentially and in chunk order (the I/O model
-/// charges seeks in issue order, so accounting is identical to the
-/// chunk-at-a-time loop), then the decodes — CRC validation plus posting
-/// list deserialization, pure CPU — fan out across cores. Returns
-/// `(chunk, file_size)` pairs in the caller's chunk order.
-fn decode_chunks_uncached(
-    source: &dyn ChunkSource,
-    chunk_ids: &[ChunkId],
-) -> Result<Vec<(Arc<Chunk>, u64)>> {
-    let mut raw = Vec::with_capacity(chunk_ids.len());
-    for &chunk_id in chunk_ids {
-        let file_size = source.chunk_file_size(chunk_id)?;
-        raw.push((chunk_id, file_size, source.read_chunk_bytes(chunk_id)?));
+/// One dimension's missing chunks between plan and walk.
+///
+/// In the shared-cache modes every [`Slot::Planned`] entry is a claim in
+/// the cache's in-flight set. Claims settle in walk order as the walk
+/// reaches them; before the walk blocks on another thread's in-flight
+/// read it settles all the rest, so a waiting loader never holds a claim
+/// and two loaders can never wait on each other. Dropping the batch
+/// releases whatever is still claimed, on error and unwind paths too.
+struct Batch<'a> {
+    shared: Option<&'a SharedChunkCache>,
+    ids: Vec<ChunkId>,
+    slots: Vec<Slot>,
+}
+
+enum Slot {
+    /// Left to the walk: resident when planned, in flight elsewhere, or
+    /// already handed over.
+    Absent,
+    /// Read by this batch; `None` until the read and decode finish, and
+    /// for good if an earlier read failed.
+    Planned(Option<Result<Chunk>>),
+    /// Decoded (private modes) or published to the shared cache.
+    Ready(Result<Arc<Chunk>>),
+}
+
+impl Batch<'_> {
+    /// Turns slot `k` from planned to ready: publishes the outcome to the
+    /// shared cache, or just wraps it in an `Arc` in the private modes. A
+    /// claim that was never read is released.
+    fn settle(&mut self, k: usize) {
+        let id = self.ids[k];
+        if let Slot::Planned(outcome) = std::mem::replace(&mut self.slots[k], Slot::Absent) {
+            self.slots[k] = match (self.shared, outcome) {
+                (Some(c), Some(outcome)) => Slot::Ready(c.publish(id, outcome)),
+                (Some(c), None) => {
+                    c.release(id);
+                    Slot::Absent
+                }
+                (None, Some(outcome)) => Slot::Ready(outcome.map(Arc::new)),
+                (None, None) => Slot::Absent,
+            };
+        }
     }
-    let decode = |(chunk_id, file_size, bytes): &(ChunkId, u64, Vec<u8>)| {
-        source.decode_chunk(*chunk_id, bytes).map(|c| (Arc::new(c), *file_size))
-    };
-    let decoded: Vec<Result<(Arc<Chunk>, u64)>> =
-        if raw.len() >= 2 && rayon::current_num_threads() > 1 {
-            raw.par_iter().map(decode).collect()
-        } else {
-            raw.iter().map(decode).collect()
-        };
-    decoded.into_iter().collect()
+
+    /// Settles every slot from `from` on, in order.
+    fn settle_from(&mut self, from: usize) {
+        for k in from..self.slots.len() {
+            self.settle(k);
+        }
+    }
+
+    /// Settles slot `k` and hands its chunk to the walk; `None` means the
+    /// walk fetches the chunk itself.
+    fn take(&mut self, k: usize) -> Option<Result<Arc<Chunk>>> {
+        self.settle(k);
+        match std::mem::replace(&mut self.slots[k], Slot::Absent) {
+            Slot::Ready(outcome) => Some(outcome),
+            _ => None,
+        }
+    }
+}
+
+impl Drop for Batch<'_> {
+    fn drop(&mut self) {
+        if let Some(c) = self.shared {
+            for (&id, slot) in self.ids.iter().zip(&self.slots) {
+                if matches!(slot, Slot::Planned(_)) {
+                    c.release(id);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -641,5 +780,44 @@ mod tests {
         let (_, stats) = reconstruct_region(&store, &region, None).unwrap();
         assert!(stats.id_updates >= stats.result_rows * 3, "each result row updated 3 times");
         assert!(stats.seed_candidates >= stats.result_rows);
+    }
+
+    /// A one-dimensional source holding a single, well-formed chunk.
+    struct OneChunk {
+        bytes: Vec<u8>,
+        tracker: DiskTracker,
+    }
+
+    impl ChunkSource for OneChunk {
+        fn dims(&self) -> usize {
+            1
+        }
+        fn chunk_file_size(&self, _: ChunkId) -> Result<u64> {
+            Ok(self.bytes.len() as u64)
+        }
+        fn read_chunk_bytes(&self, _: ChunkId) -> Result<Vec<u8>> {
+            Ok(self.bytes.clone())
+        }
+        fn decode_chunk(&self, _: ChunkId, bytes: &[u8]) -> Result<Chunk> {
+            Chunk::decode(bytes)
+        }
+        fn tracker(&self) -> &DiskTracker {
+            &self.tracker
+        }
+    }
+
+    #[test]
+    fn row_id_beyond_dense_space_is_corrupt_not_an_allocation() {
+        let id = ChunkId::new(0, 0);
+        let lists = vec![crate::postings::PostingList::new(1.0, vec![3, 1 << 40]).unwrap()];
+        let source = OneChunk {
+            bytes: Chunk::new(id, lists).unwrap().encode().unwrap(),
+            tracker: DiskTracker::new(IoProfile::instant()),
+        };
+        let region = Region::new(vec![0.0], vec![2.0]).unwrap();
+        match reconstruct_region_with_chunks(&source, &region, &[vec![id]], ChunkFetch::Uncached) {
+            Err(UeiError::Corrupt { .. }) => {}
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 }

@@ -399,8 +399,8 @@ impl ColumnStore {
                     )));
                 }
                 last_key = chunk.max_key();
-                for entry in &chunk.entries {
-                    for &id in &entry.ids {
+                for (_, ids) in chunk.postings() {
+                    for &id in ids {
                         let slot = covered.get_mut(id as usize).ok_or_else(|| {
                             UeiError::corrupt(format!("dim {d}: posting id {id} out of range"))
                         })?;
@@ -569,8 +569,8 @@ mod tests {
                 let chunk = store.read_chunk(meta.id()).unwrap();
                 assert!(chunk.min_key() > last_key, "chunk sequences ascend");
                 last_key = chunk.max_key();
-                for e in &chunk.entries {
-                    all_ids.extend(&e.ids);
+                for (_, ids) in chunk.postings() {
+                    all_ids.extend(ids);
                 }
             }
             all_ids.sort_unstable();
@@ -772,7 +772,10 @@ mod tests {
         // the CRC is fine, but coverage breaks.
         let meta = store.manifest().dims[0][0].clone();
         let chunk = store.read_chunk(meta.id()).unwrap();
-        let mut entries = chunk.entries.clone();
+        let mut entries: Vec<crate::postings::PostingList> = chunk
+            .postings()
+            .map(|(key, ids)| crate::postings::PostingList::new(key, ids.to_vec()).unwrap())
+            .collect();
         entries.pop();
         let forged = crate::chunk::Chunk::new(meta.id(), entries).unwrap();
         std::fs::write(dir.join(meta.id().file_name()), forged.encode().unwrap()).unwrap();

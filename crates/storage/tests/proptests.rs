@@ -1,12 +1,18 @@
 //! Property-based tests for the storage engine: chunk codec, store
-//! round-trips, subspace reconstruction vs brute force, a model-based
-//! LRU check, and journal durability (replay fidelity, acked-record
-//! survival across kills at arbitrary write boundaries).
+//! round-trips, subspace reconstruction vs brute force and vs the
+//! hash-table reference merge in every fetch mode (with and without
+//! injected faults), a model-based LRU check, and journal durability
+//! (replay fidelity, acked-record survival across kills at arbitrary
+//! write boundaries).
+
+mod oracle;
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use oracle::{OracleFetch, OracleSet};
 use proptest::prelude::*;
-use uei_storage::cache::{ChunkCache, SharedChunkCache};
+use uei_storage::cache::{ChunkCache, SessionChunkView, SharedChunkCache};
 use uei_storage::chunk::{Chunk, ChunkId};
 use uei_storage::fault::{FaultConfig, FaultInjector, KillMode};
 use uei_storage::io::{DiskTracker, IoProfile};
@@ -17,6 +23,7 @@ use uei_storage::merge::{
     RegionChunkSet,
 };
 use uei_storage::postings::PostingList;
+use uei_storage::source::ChunkSource;
 use uei_storage::store::{ColumnStore, StoreConfig};
 use uei_types::{AttributeDef, DataPoint, Region, Schema};
 
@@ -34,6 +41,198 @@ fn chunks_for(store: &ColumnStore, region: &Region) -> Vec<Vec<ChunkId>> {
                 .collect()
         })
         .collect()
+}
+
+/// Rows with dense ids over the first `dims` of each 6-value row;
+/// `coarse` snaps values to a 0.5 grid so keys repeat.
+fn grid_rows(values: &[Vec<f64>], dims: usize, coarse: bool) -> Vec<DataPoint> {
+    values
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let v = v[..dims].iter().map(|&x| if coarse { (x * 2.0).floor() / 2.0 } else { x });
+            DataPoint::new(i as u64, v.collect())
+        })
+        .collect()
+}
+
+fn build_store(
+    dir: &uei_storage::testutil::TempDir,
+    dims: usize,
+    rows: &[DataPoint],
+    chunk_bytes: usize,
+) -> ColumnStore {
+    let schema = Schema::new(
+        (0..dims).map(|d| AttributeDef::new(format!("d{d}"), 0.0, 10.0).unwrap()).collect(),
+    )
+    .unwrap();
+    let tracker = DiskTracker::new(IoProfile::instant());
+    ColumnStore::create(
+        dir.path(),
+        schema,
+        rows,
+        StoreConfig { chunk_target_bytes: chunk_bytes },
+        tracker,
+    )
+    .unwrap()
+}
+
+/// A region from per-dimension `(lo, width)`; with `empty_seed`,
+/// dimension 0's range lies outside the data so nothing seeds.
+fn query_region(query: &[(f64, f64)], closed: bool, empty_seed: bool) -> Region {
+    let mut lo: Vec<f64> = query.iter().map(|q| q.0).collect();
+    let mut hi: Vec<f64> = query.iter().map(|q| (q.0 + q.1).min(10.5)).collect();
+    if empty_seed {
+        (lo[0], hi[0]) = (20.0, 30.0);
+    }
+    if closed {
+        Region::closed(lo, hi).unwrap()
+    } else {
+        Region::new(lo, hi).unwrap()
+    }
+}
+
+type Outcome = (Vec<DataPoint>, uei_storage::merge::MergeStats);
+
+/// Every cached fetch mode twice over — index 0 runs the production path,
+/// index 1 the per-chunk oracle — each side with its own caches, store
+/// handles and trackers, so their accounting can be compared exactly.
+struct ModePair {
+    sides: [ModeSide; 2],
+}
+
+struct ModeSide {
+    /// One handle per mode (cached, shared, session), each with its own
+    /// tracker; the session handle is the one its view bills.
+    handles: [ColumnStore; 3],
+    /// The session view's physical source (engine ledger).
+    physical: Arc<ColumnStore>,
+    local: ChunkCache,
+    shared: SharedChunkCache,
+    view: SessionChunkView,
+}
+
+/// What each side's caches and trackers recorded: for every mode, the
+/// cache counters and the handle's I/O; plus the session view's physical
+/// ledger and its shared cache's counters.
+type Ledgers = Vec<(uei_storage::cache::CacheStats, uei_storage::io::IoStats, u128)>;
+
+impl ModePair {
+    fn new(store: &ColumnStore, budget: usize) -> ModePair {
+        let side = || {
+            let handle = || store.with_tracker(DiskTracker::new(IoProfile::default()));
+            let physical = Arc::new(handle());
+            let view = SessionChunkView::new(
+                Arc::new(SharedChunkCache::new(budget, 4)),
+                Arc::clone(&physical) as Arc<dyn ChunkSource>,
+                budget,
+            );
+            ModeSide {
+                handles: [handle(), handle(), handle()],
+                physical,
+                local: ChunkCache::new(budget),
+                shared: SharedChunkCache::new(budget, 4),
+                view,
+            }
+        };
+        ModePair { sides: [side(), side()] }
+    }
+
+    /// Attaches a fresh injector with `config` to every tracker of both
+    /// sides; returns them per side.
+    fn inject(&mut self, config: FaultConfig) -> [Vec<Arc<FaultInjector>>; 2] {
+        self.sides.each_ref().map(|side| {
+            side.handles
+                .iter()
+                .chain(std::iter::once(side.physical.as_ref()))
+                .map(|h| {
+                    let injector = FaultInjector::new(config).unwrap();
+                    h.tracker().set_fault_injector(Some(Arc::clone(&injector)));
+                    injector
+                })
+                .collect()
+        })
+    }
+
+    /// Runs the three cached modes on both sides; every call must succeed.
+    fn run(&mut self, region: &Region, chunks: &[Vec<ChunkId>]) -> [Vec<Outcome>; 2] {
+        self.run_fallible(region, chunks).map(|side| side.into_iter().map(|r| r.unwrap()).collect())
+    }
+
+    fn run_fallible(
+        &mut self,
+        region: &Region,
+        chunks: &[Vec<ChunkId>],
+    ) -> [Vec<uei_types::Result<Outcome>>; 2] {
+        let [prod, reference] = &mut self.sides;
+        let prod_runs = vec![
+            reconstruct_region_with_chunks(
+                &prod.handles[0],
+                region,
+                chunks,
+                ChunkFetch::Cached(&mut prod.local),
+            ),
+            reconstruct_region_with_chunks(
+                &prod.handles[1],
+                region,
+                chunks,
+                ChunkFetch::Shared(&prod.shared),
+            ),
+            reconstruct_region_with_chunks(
+                &prod.handles[2],
+                region,
+                chunks,
+                ChunkFetch::Session(&mut prod.view),
+            ),
+        ];
+        let strip =
+            |r: uei_types::Result<(Vec<DataPoint>, uei_storage::merge::MergeStats, OracleSet)>| {
+                r.map(|(rows, stats, _)| (rows, stats))
+            };
+        let reference_runs = vec![
+            strip(oracle::reconstruct(
+                &reference.handles[0],
+                region,
+                chunks,
+                OracleFetch::Cached(&mut reference.local),
+                None,
+            )),
+            strip(oracle::reconstruct(
+                &reference.handles[1],
+                region,
+                chunks,
+                OracleFetch::Shared(&reference.shared),
+                None,
+            )),
+            strip(oracle::reconstruct(
+                &reference.handles[2],
+                region,
+                chunks,
+                OracleFetch::Session(&mut reference.view),
+                None,
+            )),
+        ];
+        [prod_runs, reference_runs]
+    }
+
+    /// Side `i`'s cache counters and I/O charges, per mode, then the
+    /// session view's physical ledger and shared cache.
+    fn ledgers(&self, i: usize) -> Ledgers {
+        let side = &self.sides[i];
+        let io = |h: &ColumnStore| (h.tracker().stats(), h.tracker().virtual_elapsed().as_nanos());
+        let caches = [side.local.stats(), side.shared.stats(), side.view.stats()];
+        let mut out: Ledgers = caches
+            .iter()
+            .zip(&side.handles)
+            .map(|(c, h)| {
+                let (stats, clock) = io(h);
+                (*c, stats, clock)
+            })
+            .collect();
+        let (stats, clock) = io(&side.physical);
+        out.push((side.view.shared().stats(), stats, clock));
+        out
+    }
 }
 
 fn posting_strategy() -> impl Strategy<Value = PostingList> {
@@ -83,34 +282,31 @@ proptest! {
         prop_assert!(Chunk::decode(&corrupted).is_err(), "flip at {} undetected", pos);
     }
 
+    /// The production merge against brute force and against the
+    /// hash-table oracle, over 1–6 dimensions, closed and half-open
+    /// regions, coarse keys (multi-id posting lists), and regions whose
+    /// seed dimension matches nothing: same rows, same values, and every
+    /// `MergeStats` counter equal to the oracle's.
     #[test]
     fn reconstruction_matches_brute_force(
-        values in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..120),
-        qx in 0.0f64..10.0,
-        qy in 0.0f64..10.0,
-        wx in 0.1f64..5.0,
-        wy in 0.1f64..5.0,
+        dims in 1usize..=6,
+        values in proptest::collection::vec(
+            proptest::collection::vec(0.0f64..10.0, 6), 1..120),
+        query in proptest::collection::vec((0.0f64..10.0, 0.1f64..6.0), 6),
+        closed in any::<bool>(),
+        coarse in any::<bool>(),
+        empty_seed in 0u8..4,
         chunk_bytes in 64usize..2048,
     ) {
         let dir = uei_storage::testutil::TempDir::new("prop-merge");
-        let schema = Schema::new(vec![
-            AttributeDef::new("x", 0.0, 10.0).unwrap(),
-            AttributeDef::new("y", 0.0, 10.0).unwrap(),
-        ]).unwrap();
-        let rows: Vec<DataPoint> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| DataPoint::new(i as u64, vec![x, y]))
-            .collect();
-        let tracker = DiskTracker::new(IoProfile::instant());
-        let store = ColumnStore::create(
-            dir.path(), schema, &rows, StoreConfig { chunk_target_bytes: chunk_bytes }, tracker)
-            .unwrap();
-        let region = Region::new(
-            vec![qx, qy],
-            vec![(qx + wx).min(10.5), (qy + wy).min(10.5)],
-        ).unwrap();
+        let rows = grid_rows(&values, dims, coarse);
+        let store = build_store(&dir, dims, &rows, chunk_bytes);
+        let region = query_region(&query[..dims], closed, empty_seed == 0);
         let (got, stats) = reconstruct_region(&store, &region, None).unwrap();
+        let (want, want_stats, _) = oracle::reconstruct(
+            &store, &region, &chunks_for(&store, &region), OracleFetch::Uncached, None).unwrap();
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(stats, want_stats);
         let expect: Vec<u64> = rows
             .iter()
             .filter(|p| region.contains(&p.values).unwrap())
@@ -122,40 +318,37 @@ proptest! {
         for p in &got {
             prop_assert_eq!(p, &rows[p.id.as_usize()]);
         }
-            }
+        if empty_seed == 0 {
+            prop_assert!(got.is_empty());
+            prop_assert_eq!(stats.seed_candidates, 0);
+        }
+    }
 
     /// Every fetch mode — uncached, private LRU, shared concurrent cache,
-    /// and delta reconstruction against the previous region — returns
-    /// bit-identical rows for the same region sequence, at any cache
-    /// budget (including 0, where everything bypasses admission).
+    /// per-session ghost view, and delta reconstruction against the
+    /// previous region — matches the chunk-at-a-time hash-table oracle
+    /// run on an identical fresh cache, at any budget (0 bypasses every
+    /// admission, tight forces evictions, unbounded keeps everything):
+    /// the same rows, `MergeStats`, cache counters, and I/O charges,
+    /// including the session tracker's and the ghost ledger's.
     #[test]
     fn all_cache_modes_reconstruct_identical_rows(
-        values in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..100),
+        values in proptest::collection::vec(
+            proptest::collection::vec(0.0f64..10.0, 6), 1..100),
         queries in proptest::collection::vec(
             (0.0f64..10.0, 0.0f64..10.0, 0.1f64..5.0, 0.1f64..5.0), 1..5),
         chunk_bytes in 64usize..1024,
         budget_sel in 0u8..3,
     ) {
         let dir = uei_storage::testutil::TempDir::new("prop-modes");
-        let schema = Schema::new(vec![
-            AttributeDef::new("x", 0.0, 10.0).unwrap(),
-            AttributeDef::new("y", 0.0, 10.0).unwrap(),
-        ]).unwrap();
-        let rows: Vec<DataPoint> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| DataPoint::new(i as u64, vec![x, y]))
-            .collect();
-        let tracker = DiskTracker::new(IoProfile::instant());
-        let store = ColumnStore::create(
-            dir.path(), schema, &rows, StoreConfig { chunk_target_bytes: chunk_bytes }, tracker)
-            .unwrap();
+        let rows = grid_rows(&values, 2, false);
+        let store = build_store(&dir, 2, &rows, chunk_bytes);
 
         // 0 = bypass everything, 1 = tight (evictions), 2 = unbounded.
         let budget = match budget_sel { 0 => 0, 1 => 4 * chunk_bytes, _ => usize::MAX };
-        let mut local = ChunkCache::new(budget);
-        let shared = SharedChunkCache::new(budget, 4);
+        let mut modes = ModePair::new(&store, budget);
         let mut prev: Option<RegionChunkSet> = None;
+        let mut prev_oracle: Option<OracleSet> = None;
 
         for (qx, qy, wx, wy) in queries {
             let region = Region::new(
@@ -164,19 +357,29 @@ proptest! {
             ).unwrap();
             let chunks = chunks_for(&store, &region);
 
-            let (base, _) = reconstruct_region_with_chunks(
+            let (base, base_stats) = reconstruct_region_with_chunks(
                 &store, &region, &chunks, ChunkFetch::Uncached).unwrap();
-            let (cached, _) = reconstruct_region_with_chunks(
-                &store, &region, &chunks, ChunkFetch::Cached(&mut local)).unwrap();
-            let (shared_rows, _) = reconstruct_region_with_chunks(
-                &store, &region, &chunks, ChunkFetch::Shared(&shared)).unwrap();
-            let (delta_rows, _, set) = reconstruct_region_delta(
-                &store, &region, &chunks, prev.as_ref(), ChunkFetch::Uncached).unwrap();
-            prev = Some(set);
+            let (want, want_stats, _) = oracle::reconstruct(
+                &store, &region, &chunks, OracleFetch::Uncached, None).unwrap();
+            prop_assert_eq!(&base, &want, "uncached diverged from the oracle");
+            prop_assert_eq!(base_stats, want_stats);
 
-            prop_assert_eq!(&cached, &base, "private LRU diverged");
-            prop_assert_eq!(&shared_rows, &base, "shared cache diverged");
+            let [got, want] = modes.run(&region, &chunks);
+            for (rows, _) in &got {
+                prop_assert_eq!(rows, &base, "a cached mode diverged");
+            }
+            prop_assert_eq!(&got, &want, "a cached mode diverged from its per-chunk walk");
+            prop_assert_eq!(modes.ledgers(0), modes.ledgers(1), "cache or I/O accounting diverged");
+
+            let (delta_rows, delta_stats, set) = reconstruct_region_delta(
+                &store, &region, &chunks, prev.as_ref(), ChunkFetch::Uncached).unwrap();
+            let (_, oracle_delta_stats, oracle_set) = oracle::reconstruct(
+                &store, &region, &chunks, OracleFetch::Uncached, prev_oracle.as_ref()).unwrap();
             prop_assert_eq!(&delta_rows, &base, "delta reconstruction diverged");
+            prop_assert_eq!(delta_stats, oracle_delta_stats);
+            prop_assert_eq!(set.len(), oracle_set.len());
+            prev = Some(set);
+            prev_oracle = Some(oracle_set);
 
             // And all of them match brute force over the raw rows.
             let expect: Vec<u64> = rows
@@ -187,7 +390,61 @@ proptest! {
             let got: Vec<u64> = base.iter().map(|p| p.id.as_u64()).collect();
             prop_assert_eq!(got, expect);
         }
+    }
+
+    /// Seeded transient and corrupting read faults, fired by the same
+    /// injector seed on both sides: the batched fetch surfaces the same
+    /// outcome (rows, or the same error kind) as the per-chunk walk, and
+    /// leaves the same session charges, ghost ledger, cache counters, and
+    /// dice consumption. Faults land on whichever chunk the seed picks, so
+    /// across cases they hit every position of a dimension's chunk list.
+    #[test]
+    fn batched_fetch_faults_match_per_chunk_walk(
+        values in proptest::collection::vec(
+            proptest::collection::vec(0.0f64..10.0, 6), 20..100),
+        queries in proptest::collection::vec(
+            (0.0f64..10.0, 0.0f64..10.0, 0.5f64..6.0, 0.5f64..6.0), 1..5),
+        chunk_bytes in 64usize..512,
+        budget_sel in 0u8..3,
+        seed in any::<u64>(),
+        transient_pct in 0u8..40,
+        corrupt_pct in 0u8..15,
+    ) {
+        let dir = uei_storage::testutil::TempDir::new("prop-faults");
+        let rows = grid_rows(&values, 2, false);
+        let store = build_store(&dir, 2, &rows, chunk_bytes);
+        let budget = match budget_sel { 0 => 0, 1 => 4 * chunk_bytes, _ => usize::MAX };
+        let faults = FaultConfig {
+            seed,
+            transient_prob: f64::from(transient_pct) / 100.0,
+            corrupt_prob: f64::from(corrupt_pct) / 100.0,
+            ..FaultConfig::off()
+        };
+        let mut modes = ModePair::new(&store, budget);
+        let injectors = modes.inject(faults);
+
+        for (qx, qy, wx, wy) in queries {
+            let region = Region::new(
+                vec![qx, qy],
+                vec![(qx + wx).min(10.5), (qy + wy).min(10.5)],
+            ).unwrap();
+            let chunks = chunks_for(&store, &region);
+            let [got, want] = modes.run_fallible(&region, &chunks);
+            for (mode, (g, w)) in got.iter().zip(&want).enumerate() {
+                match (g, w) {
+                    (Ok(g), Ok(w)) => prop_assert_eq!(g, w, "mode {} rows or stats", mode),
+                    (Err(g), Err(w)) => prop_assert_eq!(
+                        std::mem::discriminant(g), std::mem::discriminant(w),
+                        "mode {}: {} vs {}", mode, g, w),
+                    _ => prop_assert!(false, "mode {}: {:?} vs {:?}", mode, g.as_ref().err(), w.as_ref().err()),
+                }
             }
+            prop_assert_eq!(modes.ledgers(0), modes.ledgers(1), "accounting diverged");
+            for (a, b) in injectors[0].iter().zip(&injectors[1]) {
+                prop_assert_eq!(a.stats(), b.stats(), "dice consumption diverged");
+            }
+        }
+    }
 
     /// Any single-bit flip anywhere in a chunk *file* is rejected by the
     /// catalog CRC in `read_chunk_bytes` — i.e. before any decode work —

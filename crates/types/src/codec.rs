@@ -42,20 +42,27 @@ impl<'a> Reader<'a> {
         self.remaining() == 0
     }
 
+    #[inline(always)]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
-            return Err(UeiError::corrupt(format!(
-                "truncated buffer: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.remaining()
-            )));
+            return Err(self.truncated(n));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
+    #[cold]
+    fn truncated(&self, n: usize) -> UeiError {
+        UeiError::corrupt(format!(
+            "truncated buffer: need {n} bytes at offset {}, have {}",
+            self.pos,
+            self.remaining()
+        ))
+    }
+
     /// Reads one byte.
+    #[inline]
     pub fn read_u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
@@ -67,18 +74,21 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn read_u32(&mut self) -> Result<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline(always)]
     pub fn read_u64(&mut self) -> Result<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
     /// Reads a little-endian IEEE-754 `f64`.
+    #[inline(always)]
     pub fn read_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.read_u64()?))
     }
@@ -89,6 +99,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads an LEB128-encoded unsigned varint (at most 10 bytes).
+    #[inline(always)]
     pub fn read_varint(&mut self) -> Result<u64> {
         let mut result: u64 = 0;
         let mut shift = 0u32;
@@ -230,10 +241,10 @@ pub fn encode_ascending_ids(w: &mut Writer, ids: &[u64]) -> Result<()> {
 /// [`encode_ascending_ids`].
 pub fn decode_ascending_ids(r: &mut Reader<'_>) -> Result<Vec<u64>> {
     let n = r.read_varint()? as usize;
-    // Guard against a corrupt length causing a huge allocation: cap the
-    // preallocation by what the remaining bytes could possibly encode
-    // (1 byte per id minimum).
-    let mut ids = Vec::with_capacity(n.min(r.remaining()));
+    // Guard against a corrupt length causing a huge allocation: the
+    // preallocation never exceeds the bytes left in the input (an id takes
+    // at least one byte, so real ids can still fill the list as it grows).
+    let mut ids = Vec::with_capacity(n.min(r.remaining() / std::mem::size_of::<u64>()));
     let mut prev: Option<u64> = None;
     for _ in 0..n {
         let delta = r.read_varint()?;

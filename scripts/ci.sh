@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lint, docs, tests, build, and smoke runs of the
-# scoring, region-load, fault-matrix, multi-session, rescore, kd-tree
-# layout, journal-recovery, sharded-index-plane, and telemetry benches.
+# CI gate: formatting, lint, docs, tests, builds (workspace and perfbench),
+# and smoke runs of the scoring, region-load, fault-matrix, multi-session,
+# rescore, kd-tree layout, journal-recovery, sharded-index-plane, and
+# telemetry benches.
 #
 #   ./scripts/ci.sh          # full gate
 #   ./scripts/ci.sh --fast   # skip the release build (debug tests + lint only)
@@ -31,6 +32,12 @@ cargo test -q --workspace
 if [[ "$fast" -eq 0 ]]; then
     echo "==> cargo build --release"
     cargo build --release
+
+    # perfbench is a package of its own, outside the workspace, so the
+    # workspace steps above never compile it. Build it here so a public-API
+    # change in crates/ cannot break the benchmark unnoticed.
+    echo "==> cargo build --release (perfbench)"
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 # Smoke-run the scoring bench: 1 sample, reduced matrix. The binary
