@@ -17,18 +17,23 @@ use uei_bench::recovery::{
 fn print_report(report: &RecoveryReport) {
     println!(
         "session journal overhead and crash recovery — {} rows, {} labels, γ = {}, \
-         fsync {}, snapshot every {}, best of {}\n",
+         fsync {}, snapshot every {}, {} interleaved pairs, recovery best of {}\n",
         report.dataset_rows,
         report.max_labels,
         report.gamma,
         report.fsync,
         report.snapshot_every,
+        report.pairs,
         report.repeats
     );
     println!(
-        "clean path:  plain {:>9.2} ms   journaled {:>9.2} ms   overhead {:>+6.2}%  \
-         ({} journal writes)",
-        report.plain_wall_ms, report.journaled_wall_ms, report.overhead_pct, report.journal_writes
+        "clean path:  plain {:>9.2} ms   journaled {:>9.2} ms   overhead {:>+6.2}% median, \
+         IQR {:.2} points  ({} journal writes)",
+        report.plain_wall_ms,
+        report.journaled_wall_ms,
+        report.overhead_pct,
+        report.overhead_iqr_pct,
+        report.journal_writes
     );
     println!(
         "crash @ op {:>3}: recover-and-finish {:>9.2} ms   full re-run {:>9.2} ms   \

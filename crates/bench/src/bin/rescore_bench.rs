@@ -21,7 +21,7 @@ fn print_report(report: &RescoreReport) {
         report.threads, report.cells_per_dim, report.bootstrap
     );
     println!(
-        "{:<12} {:>8} {:>6} {:>12} {:>12} {:>10} {:>12} {:>12} {:>9} {:>10}",
+        "{:<12} {:>8} {:>6} {:>12} {:>12} {:>10} {:>12} {:>12} {:>9} {:>10} {:>9}",
         "model",
         "points",
         "iters",
@@ -31,11 +31,12 @@ fn print_report(report: &RescoreReport) {
         "full",
         "incremental",
         "speedup",
-        "identical"
+        "identical",
+        "fallbacks"
     );
     for c in &report.cases {
         println!(
-            "{:<12} {:>8} {:>6} {:>12} {:>12} {:>9.2}x {:>10.2}us {:>10.2}us {:>8.2}x {:>10}",
+            "{:<12} {:>8} {:>6} {:>12} {:>12} {:>9.2}x {:>10.2}us {:>10.2}us {:>8.2}x {:>10} {:>9}",
             c.model,
             c.n_points,
             c.iterations,
@@ -46,6 +47,7 @@ fn print_report(report: &RescoreReport) {
             c.incremental_ns as f64 / 1e3,
             c.speedup,
             c.identical,
+            c.fallbacks,
         );
     }
     #[cfg(debug_assertions)]

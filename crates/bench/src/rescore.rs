@@ -1,17 +1,20 @@
 //! Incremental vs. full index-point rescoring benchmark.
 //!
 //! Measures the tentpole claim of the incremental rescoring layer: over a
-//! boundary-converging active-learning session, consulting the model's
-//! [`uei_learn::ModelDelta`] and rescoring only the points inside the new
-//! labels' influence balls does a small fraction of the work of a full
-//! per-iteration rescore — while producing **bit-identical** scores. The
-//! kNN-family estimators prune (that is the `reduction` column); the
-//! globally updating models (Naive Bayes, the SVM, the committee) exercise
-//! the conservative fall-back contract and report a reduction of 1.
+//! boundary-converging active-learning session, patching only the points
+//! inside the new labels' influence balls
+//! ([`uei_learn::Classifier::rescore_range`]) does a small fraction of the
+//! work of a full per-iteration rescore — while producing **bit-identical**
+//! scores. The kNN-family estimators prune (that is the `reduction`
+//! column); the globally updating models (Naive Bayes, the SVM, the
+//! committee) exercise the conservative fall-back contract and report a
+//! reduction of 1.
 //!
 //! Every iteration bit-compares the incremental instance's scores against
 //! a twin instance that rescores from scratch, so a pruning bug cannot
-//! produce a flattering number silently.
+//! produce a flattering number silently; and a kNN-family case whose
+//! incremental passes fell back to full rescoring fails validation, so a
+//! silently lost fast path cannot pass as "identical" either.
 //!
 //! Results serialize to the `BENCH_rescore.json` schema documented in
 //! `BENCH_SCHEMA.json` at the repository root.
@@ -54,6 +57,10 @@ pub struct RescoreCase {
     /// Whether the two instances held bit-identical scores after every
     /// iteration (must be true).
     pub identical: bool,
+    /// Incremental passes that found a warm cache yet rescored every point
+    /// ([`IndexPoints::incremental_fallbacks`]): one per iteration for the
+    /// globally updating models, and required to be 0 for the kNN family.
+    pub fallbacks: u64,
 }
 
 /// The full report written to `BENCH_rescore.json`.
@@ -189,6 +196,7 @@ fn session_case(
         incremental_ns: incremental_time.as_nanos() as u64,
         speedup: full_time.as_nanos() as f64 / (incremental_time.as_nanos() as f64).max(1.0),
         identical,
+        fallbacks: incremental.incremental_fallbacks(),
     }
 }
 
@@ -215,17 +223,28 @@ pub fn full_rescore_report() -> RescoreReport {
 }
 
 /// A seconds-scale smoke run used by CI: `3⁵ = 243` points, 5 iterations.
-/// Panics if any case diverged from the full-rescore twin, or if any
-/// incremental pass claimed to rescore more points than exist.
+/// Panics if any case diverged from the full-rescore twin, if any
+/// incremental pass claimed to rescore more points than exist, or if a
+/// kNN-family case fell back to full rescoring.
 pub fn smoke_rescore_report() -> RescoreReport {
     let report = run_rescore_bench(3, 60, 5);
     validate_rescore(&report);
     report
 }
 
+/// Estimators whose incremental passes must always take the neighbour-list
+/// patch.
+const PATCHING_MODELS: [&str; 2] = ["DWKNN", "KNN"];
+
 /// Invariants every report must satisfy, smoke or full.
 pub fn validate_rescore(report: &RescoreReport) {
     for case in &report.cases {
+        assert!(
+            !PATCHING_MODELS.contains(&case.model.as_str()) || case.fallbacks == 0,
+            "{}: {} incremental passes fell back to a full kd-tree rescore",
+            case.model,
+            case.fallbacks,
+        );
         assert!(case.identical, "{}: incremental scores diverged from full rescore", case.model);
         assert!(
             case.points_rescored_incremental <= case.iterations as u64 * case.n_points as u64,
@@ -263,6 +282,16 @@ mod tests {
         let nb = report.cases.iter().find(|c| c.model == "GaussianNB").unwrap();
         assert_eq!(nb.points_rescored_incremental, nb.points_rescored_full);
         assert!((nb.reduction - 1.0).abs() < 1e-12);
+        assert_eq!(nb.fallbacks, nb.iterations as u64, "every NB pass rescores fully");
+    }
+
+    #[test]
+    #[should_panic(expected = "fell back")]
+    fn a_falling_back_knn_case_fails_validation() {
+        let mut report = smoke_rescore_report();
+        let knn = report.cases.iter_mut().find(|c| c.model == "KNN").unwrap();
+        knn.fallbacks = 1;
+        validate_rescore(&report);
     }
 
     #[test]

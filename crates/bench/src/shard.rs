@@ -5,9 +5,9 @@
 //! the score arrays, its own dirty set, its own locality-prune bound, and
 //! its own cached top-θ list — makes the per-iteration update + select
 //! step faster on large grids (shard-granular influence-ball pruning of
-//! the delta sweep, dirty-shard-only re-ranking) while the deterministic
-//! k-way merge keeps the selected cells **bit-identical** to the
-//! single-shard reference at every shard count.
+//! the neighbour-list patch, dirty-shard-only re-ranking) while the
+//! deterministic k-way merge keeps the selected cells **bit-identical** to
+//! the single-shard reference at every shard count.
 //!
 //! Every case replays the same fixed-seed boundary-converging session and
 //! records the full top-θ selection of every iteration; any divergence
@@ -49,8 +49,8 @@ pub struct ShardCase {
     /// Cumulative shards touched across the measured iterations (every
     /// shard on a full pass, dirty shards only under incremental updates).
     pub shards_touched: u64,
-    /// Cumulative shards whose delta sweep the locality prune skipped
-    /// (provably beyond every added example's inflated influence ball).
+    /// Cumulative shards whose patch the locality prune skipped (provably
+    /// beyond every added example's inflated influence ball).
     pub shards_pruned: u64,
     /// Whether every iteration's top-θ selection was bit-identical to the
     /// single-shard reference run (must be true).

@@ -101,9 +101,8 @@ proptest! {
 }
 
 /// Incremental rescoring must never change *what gets selected*: for every
-/// estimator kind — including the committee, which falls back to full
-/// rescoring through the conservative [`uei_learn::ModelDelta::Global`]
-/// contract — the sequence of chosen cells and examples over a long
+/// estimator kind — including the committee, which keeps no neighbour
+/// lists and so falls back to full rescoring on every pass — the sequence of chosen cells and examples over a long
 /// session must be bit-identical to a twin session that rescores every
 /// index point from scratch each iteration. Retraining only every third
 /// label lets labels accrue between retrains, exercising the

@@ -80,11 +80,11 @@ pub struct UeiConfig {
     /// taken only when every better-ranked cell failed with a storage
     /// fault.
     pub fallback_candidates: usize,
-    /// Incremental index-point rescoring: consult the model's
-    /// [`uei_learn::ModelDelta`] each iteration and rescore only the index
-    /// points whose score may have changed (for kNN-family models, those
-    /// inside the influence balls of the newly labeled examples), keeping
-    /// every other cached score verbatim. Scores — and therefore region
+    /// Incremental index-point rescoring: each iteration rescore only the
+    /// index points whose score may have changed (for kNN-family models,
+    /// those inside the influence balls of the newly labeled examples, by
+    /// patching their cached neighbour lists), keeping every other cached
+    /// score verbatim. Scores — and therefore region
     /// selection — are bit-identical to a full rescore; the win is skipped
     /// work. Models with global updates (NB, SVM, committees) fall back to
     /// full rescoring automatically. Requires `parallel` (the batch path);

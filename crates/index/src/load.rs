@@ -258,11 +258,8 @@ impl RegionFetcher {
             let _span = self.telemetry.span(Phase::ShardSelect);
             points.ranked_top_cached((theta + 1).min(points.len()))?
         };
-        for cell in top {
-            if cell != just_loaded {
-                pre.request(cell);
-            }
-        }
+        let wanted: Vec<CellId> = top.into_iter().filter(|&cell| cell != just_loaded).collect();
+        pre.request_round(&wanted);
         Ok(())
     }
 

@@ -7,21 +7,37 @@
 //! chosen" (§3.2, Eq. 3).
 //!
 //! The score plane is sharded (DESIGN.md §14): a [`ShardLayout`] partitions
-//! the flat score/radius arrays into contiguous cell ranges, rescoring fans
-//! out shard-parallel, and each shard keeps a cached top-θ candidate list
-//! ([`ShardTops`]) that selection merges deterministically. Scores and
-//! selection are **bit-identical at every shard count**.
+//! the flat score/radius/neighbour arrays into contiguous cell ranges,
+//! rescoring fans out in one fused pass over shard-local work units, and
+//! each shard keeps a cached top-θ candidate list ([`ShardTops`]) that
+//! selection merges deterministically. Scores and selection are
+//! **bit-identical at every shard count**.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use rayon::prelude::*;
 use uei_learn::strategy::UncertaintyMeasure;
-use uei_learn::{Classifier, ModelDelta, ScoredBatch};
+use uei_learn::{should_parallelize_at, Classifier, RangePass, TrackedRange, NO_NEIGHBOUR};
 use uei_types::{PointMatrix, Result, ShardId, UeiError};
 
 use crate::grid::{CellId, Grid};
 use crate::select::ShardTops;
 use crate::shard::ShardLayout;
+
+/// Rows per work unit of a fused rescoring pass. Shards are cut into units
+/// of at most this many rows, so even a single-shard plane spreads over
+/// every worker.
+const UNIT_ROWS: usize = 512;
+
+/// A patch pass fans out only at this many times the model's
+/// [`Classifier::parallel_batch_threshold`] rows (65 536 for kNN/DWKNN).
+/// A clean patch row costs one distance per added example, far less than
+/// the kd-tree query a capture row pays, so thread start-up outweighs the
+/// split until the plane is large: a single-shard DWKNN (k = 5) patch on
+/// 2 vCPUs ran faster sequentially at 15 625, 27 000 and 42 875 rows, tied
+/// at 64 000 and ran faster in parallel at 97 336 (EXPERIMENTS.md).
+const PATCH_THRESHOLD_MULTIPLE: usize = 256;
 
 /// Work accounting of one rescoring pass: how many index points were
 /// actually pushed through the model versus served from the score cache.
@@ -57,8 +73,8 @@ impl RescoreStats {
 /// pass: each shard's axis-aligned bounding box of center positions in
 /// the model's influence space ([`Classifier::influence_position`]),
 /// plus its largest cached squared influence radius. Incremental passes
-/// skip the delta sweep of every shard whose inflated max radius cannot
-/// reach any added example — the shard is provably all-clean, so the
+/// skip the patch of every shard whose inflated max radius cannot reach
+/// any added example — the shard is provably all-clean, so the
 /// result stays bit-identical (DESIGN.md §14).
 ///
 /// Center positions are computed once per full pass and reused across
@@ -100,6 +116,60 @@ impl ShardPrune {
     }
 }
 
+/// Derives the locality-prune cache from the cached radii and the model's
+/// influence-space embedding of the centers. A model without positions
+/// yields an all-opaque cache in `O(1)`.
+fn build_prune(
+    centers: &PointMatrix,
+    layout: &ShardLayout,
+    radii2: &[f64],
+    model: &dyn Classifier,
+) -> ShardPrune {
+    let shards = layout.num_shards();
+    let dims = match centers.rows().next().and_then(|c| model.influence_position(c)) {
+        Some(p) => p.len(),
+        None => {
+            // All-opaque sentinel: never prunes, but keeps full-size
+            // per-shard vectors so the patch bookkeeping can still
+            // index it.
+            return ShardPrune {
+                dims: 0,
+                lo: Vec::new(),
+                hi: Vec::new(),
+                max_r2: vec![f64::INFINITY; shards],
+                opaque: vec![true; shards],
+            };
+        }
+    };
+    let mut prune = ShardPrune {
+        dims,
+        lo: vec![f64::INFINITY; shards * dims],
+        hi: vec![f64::NEG_INFINITY; shards * dims],
+        max_r2: vec![f64::INFINITY; shards],
+        opaque: vec![false; shards],
+    };
+    for s in 0..shards {
+        let range = layout.range(s);
+        for i in range.clone() {
+            match model.influence_position(centers.row(i)) {
+                Some(p) if p.len() == dims && p.iter().all(|v| v.is_finite()) => {
+                    for (d, &v) in p.iter().enumerate() {
+                        let at = s * dims + d;
+                        prune.lo[at] = prune.lo[at].min(v);
+                        prune.hi[at] = prune.hi[at].max(v);
+                    }
+                }
+                _ => {
+                    prune.opaque[s] = true;
+                    break;
+                }
+            }
+        }
+        prune.max_r2[s] = max_radius2(&radii2[range]);
+    }
+    prune
+}
+
 /// Squared Euclidean distance from `p` to the axis-aligned box `[lo, hi]`
 /// (zero inside the box).
 fn dist2_to_box(p: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
@@ -132,16 +202,35 @@ fn max_radius2(radii2: &[f64]) -> f64 {
     max
 }
 
+/// Neighbour-list state of the last tracked pass — what an incremental
+/// patch reads and updates in place (DESIGN.md §11).
+#[derive(Debug, Clone)]
+struct Tracking {
+    /// Squared influence radius per point (`+∞` = always dirty).
+    radii2: Vec<f64>,
+    /// `|P| × width` neighbour build indices, row-major, padded with
+    /// [`NO_NEIGHBOUR`].
+    neighbours: Vec<u32>,
+    /// Neighbour-list width (the model's `k`).
+    width: usize,
+    /// Training length of the model the lists are valid for: the next
+    /// patch treats the model's examples from here on as appended.
+    train_len: usize,
+}
+
+/// Per-shard outcome of a fused pass: rows rescored and the largest
+/// squared radius of the shard afterwards.
+type ShardOutcome = (usize, f64);
+
 /// The index set `P`: one symbolic point (cell center) per grid cell, with
 /// the current uncertainty estimate of each.
 ///
 /// The uncertainty vector doubles as a **score cache**: each full tracked
-/// rescore also captures per-point influence radii, and subsequent
-/// [`Self::update_incremental`] passes consult the model's
-/// [`ModelDelta`] to rescore only the points whose score may have changed,
-/// keeping every other score verbatim. `model_version` tags the cache with
-/// the (monotonically increasing) generation of the model that produced
-/// it.
+/// rescore also captures every point's influence radius and neighbour list,
+/// and subsequent [`Self::update_incremental`] passes patch only the points
+/// an added example can influence ([`Classifier::rescore_range`]), keeping
+/// every other score verbatim. `model_version` tags the cache with the
+/// (monotonically increasing) generation of the model that produced it.
 ///
 /// The immutable halves — cell centers and shard layout — sit behind
 /// `Arc`s, so cloning an `IndexPoints` (one clone per engine session)
@@ -149,21 +238,21 @@ fn max_radius2(radii2: &[f64]) -> f64 {
 #[derive(Debug, Clone)]
 pub struct IndexPoints {
     /// Cell centers in one flat row-major matrix: batch scoring and the
-    /// influence-ball delta sweep it linearly, no per-center allocation.
+    /// fused rescoring pass sweep it linearly, no per-center allocation.
     centers: Arc<PointMatrix>,
     /// The contiguous-range shard partition of `0..len`.
     layout: Arc<ShardLayout>,
     uncertainty: Vec<f64>,
     updated: bool,
-    /// Squared influence radii from the last tracked rescore; `None` when
-    /// the last pass was untracked or the model does not report radii.
-    radii2: Option<Vec<f64>>,
+    /// Radii and neighbour lists from the last tracked pass; `None` when
+    /// the last pass was untracked or the model keeps no neighbour lists.
+    tracking: Option<Tracking>,
     /// Per-shard cached top-θ candidate lists for selection.
     tops: ShardTops,
     /// Shard-granular locality-prune cache; rebuilt lazily after every
     /// full pass, `None` while radii are absent.
     prune: Option<ShardPrune>,
-    /// Cumulative shards whose delta sweep the locality prune skipped.
+    /// Cumulative shards whose patch the locality prune skipped.
     shards_pruned: u64,
     /// Generation counter of the cached scores: bumped on every rescoring
     /// pass, of any kind.
@@ -174,6 +263,9 @@ pub struct IndexPoints {
     /// Cumulative shards whose scores a rescoring pass recomputed (full
     /// passes count every shard; incremental passes only the dirty ones).
     shards_touched: u64,
+    /// Cumulative incremental passes that found a warm cache yet rescored
+    /// every point (see [`Self::incremental_fallbacks`]).
+    incremental_fallbacks: u64,
 }
 
 impl IndexPoints {
@@ -198,13 +290,14 @@ impl IndexPoints {
             layout: Arc::new(layout),
             uncertainty: vec![0.0; n],
             updated: false,
-            radii2: None,
+            tracking: None,
             tops,
             prune: None,
             shards_pruned: 0,
             model_version: 0,
             incremental_passes: 0,
             shards_touched: 0,
+            incremental_fallbacks: 0,
         })
     }
 
@@ -235,11 +328,22 @@ impl IndexPoints {
         self.shards_touched
     }
 
-    /// Cumulative count of shards whose delta sweep the locality prune
-    /// skipped outright (the shard was provably beyond every added
-    /// example's inflated influence ball).
+    /// Cumulative count of shards whose patch the locality prune skipped
+    /// outright (the shard was provably beyond every added example's
+    /// inflated influence ball).
     pub fn shards_pruned(&self) -> u64 {
         self.shards_pruned
+    }
+
+    /// Cumulative count of incremental passes that rescored every point
+    /// although the score cache was warm and no staleness bound was due:
+    /// the model keeps no neighbour lists (Naive Bayes, the SVM, a
+    /// committee), its lineage broke (a different `k`, a shrunk training
+    /// set), or the patch refused its input (NaN geometry, an invalid
+    /// margin). Zero for a kNN-family session is the signature of the fast
+    /// path being taken on every pass.
+    pub fn incremental_fallbacks(&self) -> u64 {
+        self.incremental_fallbacks
     }
 
     /// The symbolic point of cell `id`.
@@ -291,71 +395,65 @@ impl IndexPoints {
         self.finish_full_pass(None);
     }
 
-    /// Full rescore through the tracked batch path: same bit-identical
-    /// scores as [`Self::update`], but also captures each point's influence
-    /// radius so the next [`Self::update_incremental`] pass can prune.
+    /// Full rescore that also captures every point's influence radius and
+    /// neighbour list, so the next [`Self::update_incremental`] pass can
+    /// patch instead of rescoring: same bit-identical scores as
+    /// [`Self::update`]. Models that keep no neighbour lists (or cannot
+    /// report their training length, which the lists' lineage needs) get
+    /// the plain pass.
     pub fn update_tracked(
         &mut self,
         model: &dyn Classifier,
         measure: UncertaintyMeasure,
     ) -> RescoreStats {
-        let layout = Arc::clone(&self.layout);
-        let centers = Arc::clone(&self.centers);
-        let parts: Vec<(Vec<f64>, Option<Vec<f64>>)> = (0..layout.num_shards())
-            .into_par_iter()
-            .map(|s| {
-                let range = layout.range(s);
-                let refs: Vec<&[f64]> = range.map(|i| centers.row(i)).collect();
-                let scored = model.predict_proba_batch_tracked(&refs);
-                let mut probs = scored.probs;
-                for u in &mut probs {
-                    *u = measure.score(*u);
-                }
-                (probs, scored.radii2)
-            })
-            .collect();
         let n = self.centers.len();
-        // Radii survive only if every shard reported them (models either
-        // always report radii or never do, so mixed shards mean a bug —
-        // treated conservatively as "no radii").
-        let mut radii2 = parts.iter().all(|(_, r)| r.is_some()).then(|| Vec::with_capacity(n));
-        let mut uncertainty = Vec::with_capacity(n);
-        for (probs, fresh) in parts {
-            uncertainty.extend(probs);
-            if let (Some(acc), Some(fresh)) = (radii2.as_mut(), fresh) {
-                acc.extend(fresh);
-            }
+        let full = RescoreStats { points_rescored: n as u64, points_cached: 0 };
+        let (Some(width), Some(train_len)) = (model.neighbour_width(), model.training_len()) else {
+            self.update(model, measure);
+            return full;
+        };
+        // Reuse the table's allocation across passes of the same width.
+        let mut tracking = match self.tracking.take() {
+            Some(t) if t.width == width => t,
+            _ => Tracking {
+                radii2: vec![0.0; n],
+                neighbours: vec![NO_NEIGHBOUR; n * width],
+                width,
+                train_len,
+            },
+        };
+        tracking.train_len = train_len;
+        let skip = vec![false; self.layout.num_shards()];
+        if self.fused_pass(&mut tracking, model, measure, RangePass::Capture, &skip).is_none() {
+            self.update(model, measure);
+            return full;
         }
-        self.uncertainty = uncertainty;
-        self.finish_full_pass(radii2);
-        RescoreStats { points_rescored: n as u64, points_cached: 0 }
+        self.finish_full_pass(Some(tracking));
+        full
     }
 
-    /// Rescores only the points the model reports as possibly changed by
-    /// the `added` training examples; every other score (and influence
-    /// radius — a clean point's neighbour set is unchanged, so its radius
-    /// is still exact) is kept verbatim from the cache.
+    /// Brings the cached scores up to date with `model`, which extends the
+    /// model of the last pass by (at most) the `added` training examples:
+    /// one fused shard-parallel pass tests every point's influence ball
+    /// and patches the neighbour lists of the points an added example
+    /// falls into ([`RangePass::Patch`]); every other score, radius and
+    /// list is kept verbatim. Shards the locality prune proves clean are
+    /// skipped outright, and only dirty shards invalidate their cached
+    /// top-θ lists.
     ///
-    /// The dirty test runs shard-parallel through
-    /// [`Classifier::model_delta_matrix_range`]: the delta predicate is
-    /// per-point, so the concatenated per-shard masks equal the full-matrix
-    /// mask, and any shard reporting a global delta escalates the whole
-    /// pass to a full tracked rescore (global-ness is range-independent).
-    /// Dirty shards then rescore their own dirty points in parallel and
-    /// invalidate only their own cached top-θ lists.
-    ///
-    /// Scores are **bit-identical** to a full rescore: the delta contract
-    /// guarantees clean points would reproduce their cached value, and the
-    /// batch path is element-wise independent, so scoring the dirty subset
-    /// equals scoring those points inside a full batch. `margin ≥ 0`
-    /// inflates the influence radii (more dirty points, never fewer);
+    /// Scores are **bit-identical** to a full rescore: a clean point's
+    /// neighbour set is provably unchanged, and a patched list is the
+    /// exact top k a fresh kd-tree query returns (DESIGN.md §11). `margin
+    /// ≥ 0` inflates the influence radii (more dirty points, never fewer);
     /// `full_every` forces a full tracked rescore after that many
     /// consecutive incremental passes, bounding drift in long sessions.
-    /// Falls back to a full tracked rescore whenever the cache is cold, the
-    /// model reports a global delta, or the delta is malformed.
+    /// Falls back to a full tracked rescore whenever the cache is cold,
+    /// the model cannot patch, the table's lineage does not match the
+    /// model, or the patch refuses its input — every fallback on a warm
+    /// cache is counted in [`Self::incremental_fallbacks`].
     ///
     /// Debug builds cross-check the result against a from-scratch full
-    /// rescore and assert bit equality.
+    /// rescore and assert bit equality of scores, radii and lists.
     pub fn update_incremental(
         &mut self,
         model: &dyn Classifier,
@@ -365,105 +463,14 @@ impl IndexPoints {
         full_every: usize,
     ) -> RescoreStats {
         let full_due = full_every > 0 && self.incremental_passes + 1 >= full_every;
-        let stats = if !self.updated || full_due || self.radii2.is_none() {
+        let stats = if !self.updated || full_due {
             self.update_tracked(model, measure)
         } else {
-            let n = self.centers.len();
-            let layout = Arc::clone(&self.layout);
-            let centers = Arc::clone(&self.centers);
-            if self.prune.is_none() {
-                self.prune = Some(self.build_prune(model));
-            }
-            let pruned = self.pruned_shards(model, added, margin);
-            self.shards_pruned += pruned.iter().filter(|&&p| p).count() as u64;
-            let deltas: Vec<ModelDelta> = {
-                let radii2 = self.radii2.as_deref().expect("checked above");
-                (0..layout.num_shards())
-                    .into_par_iter()
-                    .map(|s| {
-                        let range = layout.range(s);
-                        if pruned[s] {
-                            // Provably clean: the prune geometry implies
-                            // the delta's all-false mask without the sweep.
-                            return ModelDelta::Dirty(vec![false; range.len()]);
-                        }
-                        model.model_delta_matrix_range(
-                            &centers,
-                            range.clone(),
-                            &radii2[range],
-                            added,
-                            margin,
-                        )
-                    })
-                    .collect()
-            };
-            let well_formed = deltas.iter().enumerate().all(|(s, d)| match d {
-                ModelDelta::Dirty(mask) => mask.len() == layout.range(s).len(),
-                ModelDelta::Global => false,
-            });
-            if !well_formed {
-                // Any shard going global (or malformed): full rescore.
-                self.update_tracked(model, measure)
-            } else {
-                // Global cell ids of each shard's dirty points.
-                let dirty_shards: Vec<(usize, Vec<usize>)> = deltas
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(s, d)| {
-                        let ModelDelta::Dirty(mask) = d else { unreachable!() };
-                        let base = layout.range(s).start;
-                        let dirty: Vec<usize> = mask
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(j, &m)| m.then_some(base + j))
-                            .collect();
-                        (!dirty.is_empty()).then_some((s, dirty))
-                    })
-                    .collect();
-                let rescored: Vec<(usize, Vec<usize>, ScoredBatch)> = dirty_shards
-                    .into_par_iter()
-                    .map(|(s, dirty)| {
-                        let refs: Vec<&[f64]> = dirty.iter().map(|&i| centers.row(i)).collect();
-                        let scored = model.predict_proba_batch_tracked(&refs);
-                        (s, dirty, scored)
-                    })
-                    .collect();
-                let mut rescored_total = 0u64;
-                let mut drop_radii = false;
-                for (s, dirty, scored) in rescored {
-                    rescored_total += dirty.len() as u64;
-                    for (j, &i) in dirty.iter().enumerate() {
-                        self.uncertainty[i] = measure.score(scored.probs[j]);
-                    }
-                    match (self.radii2.as_mut(), scored.radii2) {
-                        (Some(cached), Some(fresh)) => {
-                            for (j, &i) in dirty.iter().enumerate() {
-                                cached[i] = fresh[j];
-                            }
-                        }
-                        // The model stopped reporting radii mid-flight:
-                        // drop the cache so the next pass goes full.
-                        _ => drop_radii = true,
-                    }
-                    // Patched radii change the shard's reach: refresh its
-                    // prune bound from the updated cache.
-                    if let (Some(prune), Some(cached)) =
-                        (self.prune.as_mut(), self.radii2.as_deref())
-                    {
-                        prune.max_r2[s] = max_radius2(&cached[layout.range(s)]);
-                    }
-                    self.tops.invalidate(ShardId::from(s));
-                    self.shards_touched += 1;
-                }
-                if drop_radii {
-                    self.radii2 = None;
-                    self.prune = None;
-                }
-                self.model_version += 1;
-                self.incremental_passes += 1;
-                RescoreStats {
-                    points_rescored: rescored_total,
-                    points_cached: n as u64 - rescored_total,
+            match self.patch(model, measure, added, margin) {
+                Some(stats) => stats,
+                None => {
+                    self.incremental_fallbacks += 1;
+                    self.update_tracked(model, measure)
                 }
             }
         };
@@ -472,59 +479,132 @@ impl IndexPoints {
         stats
     }
 
-    /// Derives the locality-prune cache from the current radii and the
-    /// model's influence-space embedding of the centers. Requires cached
-    /// radii (only the incremental path builds it). A model without
-    /// positions yields an all-opaque cache in `O(1)`.
-    fn build_prune(&self, model: &dyn Classifier) -> ShardPrune {
-        let radii2 = self.radii2.as_deref().expect("prune is built only while radii are cached");
-        let shards = self.layout.num_shards();
-        let dims = match self.centers.rows().next().and_then(|c| model.influence_position(c)) {
-            Some(p) => p.len(),
-            None => {
-                // All-opaque sentinel: never prunes, but keeps full-size
-                // per-shard vectors so the dirty-rescore bookkeeping can
-                // still index it.
-                return ShardPrune {
-                    dims: 0,
-                    lo: Vec::new(),
-                    hi: Vec::new(),
-                    max_r2: vec![f64::INFINITY; shards],
-                    opaque: vec![true; shards],
-                };
+    /// The patch pass of [`Self::update_incremental`]; `None` when the
+    /// cached state cannot be patched and a full rescore must run.
+    fn patch(
+        &mut self,
+        model: &dyn Classifier,
+        measure: UncertaintyMeasure,
+        added: &[&[f64]],
+        margin: f64,
+    ) -> Option<RescoreStats> {
+        let train_len = model.training_len()?;
+        let cached = self.tracking.as_ref()?;
+        // Lineage: the lists must name build indices of a prefix of the
+        // model's training set, at the model's own width.
+        if model.neighbour_width() != Some(cached.width) || train_len < cached.train_len {
+            return None;
+        }
+        if self.prune.is_none() {
+            self.prune = Some(build_prune(&self.centers, &self.layout, &cached.radii2, model));
+        }
+        let pruned = self.pruned_shards(model, added, margin);
+        let mut tracking = self.tracking.take().expect("checked above");
+        let pass = RangePass::Patch { since: tracking.train_len, added, margin };
+        let outcomes = self.fused_pass(&mut tracking, model, measure, pass, &pruned);
+        // A refused patch leaves the table partially updated; the full
+        // rescore that follows recaptures all of it in place.
+        tracking.train_len = train_len;
+        self.tracking = Some(tracking);
+        let outcomes = outcomes?;
+        self.shards_pruned += pruned.iter().filter(|&&p| p).count() as u64;
+        let mut rescored = 0u64;
+        for (s, &(dirty, max_r2)) in outcomes.iter().enumerate() {
+            if dirty == 0 {
+                continue;
             }
-        };
-        let mut prune = ShardPrune {
-            dims,
-            lo: vec![f64::INFINITY; shards * dims],
-            hi: vec![f64::NEG_INFINITY; shards * dims],
-            max_r2: vec![f64::INFINITY; shards],
-            opaque: vec![false; shards],
-        };
-        for s in 0..shards {
+            rescored += dirty as u64;
+            // Patched radii change the shard's reach: refresh its prune
+            // bound.
+            if let Some(prune) = self.prune.as_mut() {
+                prune.max_r2[s] = max_r2;
+            }
+            self.tops.invalidate(ShardId::from(s));
+            self.shards_touched += 1;
+        }
+        self.model_version += 1;
+        self.incremental_passes += 1;
+        Some(RescoreStats {
+            points_rescored: rescored,
+            points_cached: self.centers.len() as u64 - rescored,
+        })
+    }
+
+    /// Runs `pass` over every shard not marked in `skip`, writing scores
+    /// into the score plane and radii and lists into `tracking` in place.
+    /// Shards are cut into work units of at most [`UNIT_ROWS`] rows, each
+    /// owning disjoint slices of the three arrays, so the units run in
+    /// parallel with no staging copy. Returns each shard's rows rescored
+    /// and largest radius afterwards, or `None` if any unit refused.
+    fn fused_pass(
+        &mut self,
+        tracking: &mut Tracking,
+        model: &dyn Classifier,
+        measure: UncertaintyMeasure,
+        pass: RangePass<'_>,
+        skip: &[bool],
+    ) -> Option<Vec<ShardOutcome>> {
+        type Unit<'a> = (usize, Range<usize>, &'a mut [f64], &'a mut [f64], &'a mut [u32]);
+        let width = tracking.width;
+        let centers = &*self.centers;
+        let mut scores = &mut self.uncertainty[..];
+        let mut radii2 = &mut tracking.radii2[..];
+        let mut neighbours = &mut tracking.neighbours[..];
+        let mut units: Vec<Unit<'_>> = Vec::new();
+        for s in 0..self.layout.num_shards() {
             let range = self.layout.range(s);
-            for i in range.clone() {
-                match model.influence_position(self.centers.row(i)) {
-                    Some(p) if p.len() == dims && p.iter().all(|v| v.is_finite()) => {
-                        for (d, &v) in p.iter().enumerate() {
-                            let at = s * dims + d;
-                            prune.lo[at] = prune.lo[at].min(v);
-                            prune.hi[at] = prune.hi[at].max(v);
-                        }
-                    }
-                    _ => {
-                        prune.opaque[s] = true;
-                        break;
-                    }
+            for lo in range.clone().step_by(UNIT_ROWS) {
+                let len = UNIT_ROWS.min(range.end - lo);
+                let (sc, rest) = std::mem::take(&mut scores).split_at_mut(len);
+                scores = rest;
+                let (r2, rest) = std::mem::take(&mut radii2).split_at_mut(len);
+                radii2 = rest;
+                let (nb, rest) = std::mem::take(&mut neighbours).split_at_mut(len * width);
+                neighbours = rest;
+                if !skip[s] {
+                    units.push((s, lo..lo + len, sc, r2, nb));
                 }
             }
-            prune.max_r2[s] = max_radius2(&radii2[range]);
         }
-        prune
+        let run = |(s, rows, scores, radii2, neighbours): Unit<'_>| {
+            let score = |p: f64| measure.score(p);
+            let out = TrackedRange { score: &score, scores, radii2: &mut *radii2, neighbours };
+            let rescored = model.rescore_range(centers, rows, pass, out);
+            (s, rescored, max_radius2(radii2))
+        };
+        let rows: usize = units.iter().map(|unit| unit.1.len()).sum();
+        let threshold = match pass {
+            RangePass::Capture => model.parallel_batch_threshold(),
+            RangePass::Patch { .. } => {
+                model.parallel_batch_threshold().saturating_mul(PATCH_THRESHOLD_MULTIPLE)
+            }
+        };
+        let results: Vec<(usize, Option<usize>, f64)> = if should_parallelize_at(rows, threshold) {
+            // Dirty points cluster around the decision boundary, and the
+            // vendored rayon hands each worker a contiguous run of the
+            // list: deal the units round-robin so every run samples the
+            // whole plane. On grid-100k (2 vCPUs) this beat contiguous
+            // units in 8 of 8 alternating perfbench pairs, step p50 8.38
+            // → 7.94 ms (EXPERIMENTS.md).
+            let workers = rayon::current_num_threads();
+            let mut hands: Vec<Vec<Unit<'_>>> = (0..workers).map(|_| Vec::new()).collect();
+            for (i, unit) in units.into_iter().enumerate() {
+                hands[i % workers].push(unit);
+            }
+            hands.into_iter().flatten().collect::<Vec<_>>().into_par_iter().map(run).collect()
+        } else {
+            units.into_iter().map(run).collect()
+        };
+        let mut outcomes = vec![(0usize, f64::NEG_INFINITY); self.layout.num_shards()];
+        for (s, rescored, max_r2) in results {
+            outcomes[s].0 += rescored?;
+            outcomes[s].1 = outcomes[s].1.max(max_r2);
+        }
+        Some(outcomes)
     }
 
     /// Which shards this pass's added examples provably cannot dirty.
-    /// Conservative on every edge the delta path treats specially: an
+    /// Conservative on every edge the patch treats specially: an
     /// invalid margin, an unmappable added example, or a position of the
     /// wrong shape disables pruning for the whole pass (all-false).
     fn pruned_shards(&self, model: &dyn Classifier, added: &[&[f64]], margin: f64) -> Vec<bool> {
@@ -550,9 +630,9 @@ impl IndexPoints {
     }
 
     /// Bookkeeping shared by all full-rescore variants.
-    fn finish_full_pass(&mut self, radii2: Option<Vec<f64>>) {
+    fn finish_full_pass(&mut self, tracking: Option<Tracking>) {
         self.updated = true;
-        self.radii2 = radii2;
+        self.tracking = tracking;
         // Full passes replace every radius; the prune boxes and bounds are
         // rebuilt lazily by the next incremental pass.
         self.prune = None;
@@ -569,7 +649,8 @@ impl IndexPoints {
     }
 
     /// Asserts that the cached scores equal a from-scratch full rescore,
-    /// bit for bit. Debug builds run this after every incremental pass.
+    /// and the cached radii and neighbour lists a from-scratch capture, bit
+    /// for bit. Debug builds run this after every incremental pass.
     #[cfg(debug_assertions)]
     fn debug_cross_check(&self, model: &dyn Classifier, measure: UncertaintyMeasure) {
         let refs = self.centers.row_refs();
@@ -582,6 +663,27 @@ impl IndexPoints {
                 self.model_version,
             );
         }
+        let Some(cached) = &self.tracking else { return };
+        let n = self.centers.len();
+        let mut scores = vec![0.0; n];
+        let mut radii2 = vec![0.0; n];
+        let mut neighbours = vec![NO_NEIGHBOUR; n * cached.width];
+        let out = TrackedRange {
+            score: &|p| measure.score(p),
+            scores: &mut scores,
+            radii2: &mut radii2,
+            neighbours: &mut neighbours,
+        };
+        debug_assert!(
+            model.rescore_range(&self.centers, 0..n, RangePass::Capture, out).is_some(),
+            "a model whose lists are cached must capture",
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        debug_assert!(
+            bits(&cached.radii2) == bits(&radii2) && cached.neighbours == neighbours,
+            "incremental rescore diverged from a fresh capture (model version {})",
+            self.model_version,
+        );
     }
 
     /// The most uncertain index point `p*` (Eq. 3); ties break toward the
@@ -860,36 +962,61 @@ mod tests {
         assert!(
             inc.shards_pruned() >= 1,
             "shards beyond the insertion's influence reach must skip their \
-             delta sweep entirely: pruned {}",
+             patch entirely: pruned {}",
             inc.shards_pruned()
         );
     }
 
+    /// The influence-ball dirty predicate the kNN-family patch applies,
+    /// stated directly: a point is dirty iff its radius is unbounded or
+    /// some added example falls strictly inside its margin-inflated ball.
+    fn influence_dirty(point: &[f64], r2: f64, added: &[&[f64]], margin: f64) -> bool {
+        let inflate = (1.0 + margin) * (1.0 + margin);
+        !r2.is_finite()
+            || added
+                .iter()
+                .any(|a| uei_types::point::squared_distance(point, a).unwrap() < r2 * inflate)
+    }
+
     #[test]
     fn models_without_influence_space_skip_pruning_but_stay_exact() {
-        use uei_learn::knn_influence_delta;
-        /// Reports kNN-style influence radii but exposes no influence
-        /// space — the locality prune must stay disabled while incremental
-        /// rescoring still works off the delta masks.
+        /// Patches through the influence-ball oracle with a fixed radius
+        /// but exposes no influence space — the locality prune must stay
+        /// disabled while incremental rescoring still skips far points.
         struct OpaqueRadii;
         impl Classifier for OpaqueRadii {
             fn predict_proba(&self, x: &[f64]) -> f64 {
                 ((x[0] * 0.17 + x[1] * 0.05).sin() * 0.5 + 0.5).clamp(0.0, 1.0)
             }
-            fn predict_proba_batch_tracked(&self, xs: &[&[f64]]) -> ScoredBatch {
-                ScoredBatch {
-                    probs: xs.iter().map(|x| self.predict_proba(x)).collect(),
-                    radii2: Some(vec![0.5; xs.len()]),
-                }
+            fn neighbour_width(&self) -> Option<usize> {
+                Some(0)
             }
-            fn model_delta(
+            fn rescore_range(
                 &self,
-                points: &[&[f64]],
-                radii2: &[f64],
-                added: &[&[f64]],
-                margin: f64,
-            ) -> ModelDelta {
-                knn_influence_delta(points, radii2, added, margin, usize::MAX)
+                points: &PointMatrix,
+                rows: Range<usize>,
+                pass: RangePass<'_>,
+                out: TrackedRange<'_>,
+            ) -> Option<usize> {
+                let mut rescored = 0;
+                for (j, i) in rows.enumerate() {
+                    let x = points.row(i);
+                    let dirty = match pass {
+                        RangePass::Capture => true,
+                        RangePass::Patch { added, margin, .. } => {
+                            influence_dirty(x, out.radii2[j], added, margin)
+                        }
+                    };
+                    if dirty {
+                        out.scores[j] = (out.score)(self.predict_proba(x));
+                        out.radii2[j] = 0.5;
+                        rescored += 1;
+                    }
+                }
+                Some(rescored)
+            }
+            fn training_len(&self) -> Option<usize> {
+                Some(0)
             }
             fn dims(&self) -> usize {
                 2
@@ -908,13 +1035,69 @@ mod tests {
             0,
         );
         assert_eq!(points.shards_pruned(), 0, "no influence space, no pruning");
-        // The per-point delta still prunes the far cells individually.
+        assert_eq!(points.incremental_fallbacks(), 0);
+        // The per-point oracle still keeps the far cells.
         assert!(stats.points_cached > 0);
         assert!(stats.points_rescored > 0, "the corner cell sits inside its influence ball");
+        let want = (0..points.len())
+            .filter(|&i| influence_dirty(points.center(i).unwrap(), 0.5, &added_refs, 0.0))
+            .count();
+        assert_eq!(stats.points_rescored, want as u64);
     }
 
     #[test]
-    fn cold_cache_and_global_deltas_rescore_fully() {
+    fn broken_lineage_and_superset_added_stay_exact() {
+        use uei_learn::Dwknn;
+        use uei_types::Label;
+        let mut examples = Vec::new();
+        for x in 0..4 {
+            for y in 0..4 {
+                let p = vec![x as f64 * 0.8 + 0.2, y as f64 * 0.8 + 0.2];
+                examples.push((p, Label::from_bool((x + y) % 2 == 0)));
+            }
+        }
+        let measure = UncertaintyMeasure::Entropy;
+        let grid = grid3();
+        let model = Dwknn::fit(3, &examples).unwrap();
+        let mut points = IndexPoints::from_grid_with_shards(&grid, 2).unwrap();
+        points.update_tracked(&model, measure);
+
+        // An unchanged model handed a superset `added` (labels it never
+        // trained on): the dirty points are patched from their own lists
+        // and nothing falls back.
+        let stray = [1.4f64, 1.6];
+        let stray_refs: Vec<&[f64]> = vec![&stray];
+        let stats = points.update_incremental(&model, measure, &stray_refs, 0.0, 0);
+        assert!(stats.points_rescored > 0);
+        assert_eq!(points.incremental_fallbacks(), 0);
+
+        // A shrunk training set and a different k break the lineage: both
+        // rescore every point, and both are counted.
+        let shrunk = Dwknn::fit(3, &examples[..10]).unwrap();
+        let stats = points.update_incremental(&shrunk, measure, &[], 0.0, 0);
+        assert_eq!(stats, RescoreStats { points_rescored: 9, points_cached: 0 });
+        let wider = Dwknn::fit(4, &examples[..10]).unwrap();
+        let stats = points.update_incremental(&wider, measure, &[], 0.0, 0);
+        assert_eq!(stats.points_rescored, 9);
+        assert_eq!(points.incremental_fallbacks(), 2);
+        let mut full = IndexPoints::from_grid(&grid).unwrap();
+        full.update(&wider, measure);
+        for id in 0..9 {
+            assert_eq!(
+                points.uncertainty(id).unwrap().to_bits(),
+                full.uncertainty(id).unwrap().to_bits()
+            );
+        }
+        // A NaN added example refuses the patch rather than guess.
+        let nan = [f64::NAN, 0.5];
+        let nan_refs: Vec<&[f64]> = vec![&nan];
+        let stats = points.update_incremental(&wider, measure, &nan_refs, 0.0, 0);
+        assert_eq!(stats.points_rescored, 9);
+        assert_eq!(points.incremental_fallbacks(), 3);
+    }
+
+    #[test]
+    fn cold_cache_and_listless_models_rescore_fully() {
         let grid = grid3();
         let mut points = IndexPoints::from_grid(&grid).unwrap();
         // Cold cache: nothing to prune against.
@@ -926,8 +1109,9 @@ mod tests {
             0,
         );
         assert_eq!(stats, RescoreStats { points_rescored: 9, points_cached: 0 });
-        // BoundaryAtX uses the default (Global) delta: full again, even
-        // though no examples were added.
+        assert_eq!(points.incremental_fallbacks(), 0, "a cold pass is not a fallback");
+        // BoundaryAtX keeps no neighbour lists: full again, even though no
+        // examples were added — and counted as a fallback.
         let stats = points.update_incremental(
             &BoundaryAtX(1.5),
             UncertaintyMeasure::LeastConfidence,
@@ -936,6 +1120,7 @@ mod tests {
             0,
         );
         assert_eq!(stats, RescoreStats { points_rescored: 9, points_cached: 0 });
+        assert_eq!(points.incremental_fallbacks(), 1);
     }
 
     #[test]

@@ -123,6 +123,12 @@ struct Shared {
     pending: HashSet<CellId>,
     failed: HashMap<CellId, String>,
     failed_total: u64,
+    /// Cells of the latest request round. A result for a cell outside it
+    /// is dropped on arrival, and starting a round evicts buffered results
+    /// outside it, so at most one round's regions stay resident.
+    round: HashSet<CellId>,
+    /// Cumulative results dropped because a newer round superseded them.
+    evicted: u64,
 }
 
 /// A background region prefetcher.
@@ -191,9 +197,10 @@ impl Prefetcher {
                     let mut s = lock.lock();
                     s.pending.remove(&cell);
                     match outcome {
-                        Ok(pair) => {
+                        Ok(pair) if s.round.contains(&cell) => {
                             s.ready.insert(cell, pair);
                         }
+                        Ok(_) => s.evicted += 1,
                         Err(e) => {
                             s.failed_total += 1;
                             if s.failed.len() >= MAX_FAILED_CELLS && !s.failed.contains_key(&cell) {
@@ -211,12 +218,35 @@ impl Prefetcher {
         Ok(Prefetcher { tx, shared, tracker, handle: Some(handle) })
     }
 
-    /// Queues a cell for background loading; a no-op if it is already
-    /// pending or ready.
+    /// Starts a new request round: queues every cell of `cells` and
+    /// evicts every buffered (or still arriving) result outside it, so the
+    /// regions kept are bounded by one round's size — the prefetch horizon
+    /// θ+1 — however long the session runs.
+    pub fn request_round(&self, cells: &[CellId]) {
+        {
+            let (lock, _) = &*self.shared;
+            let mut s = lock.lock();
+            s.round = cells.iter().copied().collect();
+            let before = s.ready.len();
+            let Shared { ready, round, .. } = &mut *s;
+            ready.retain(|cell, _| round.contains(cell));
+            s.evicted += (before - s.ready.len()) as u64;
+        }
+        for &cell in cells {
+            self.request(cell);
+        }
+    }
+
+    /// Queues one cell for background loading; a no-op if it is already
+    /// pending or ready. The cell joins the current round instead of
+    /// starting a new one, so nothing is evicted: callers that request
+    /// every iteration bound the buffer with [`Self::request_round`],
+    /// which sets the prefetch horizon.
     pub fn request(&self, cell: CellId) {
         {
             let (lock, _) = &*self.shared;
             let mut s = lock.lock();
+            s.round.insert(cell);
             if s.ready.contains_key(&cell) || !s.pending.insert(cell) {
                 return;
             }
@@ -263,6 +293,19 @@ impl Prefetcher {
         lock.lock().pending.contains(&cell)
     }
 
+    /// How many completed results are buffered.
+    pub fn ready_count(&self) -> usize {
+        let (lock, _) = &*self.shared;
+        lock.lock().ready.len()
+    }
+
+    /// Cumulative results evicted (or dropped on arrival) because a newer
+    /// request round no longer wanted their cell.
+    pub fn evictions(&self) -> u64 {
+        let (lock, _) = &*self.shared;
+        lock.lock().evicted
+    }
+
     /// Whether a completed result for `cell` is buffered (without taking it).
     pub fn has_ready(&self, cell: CellId) -> bool {
         let (lock, _) = &*self.shared;
@@ -301,12 +344,6 @@ impl Prefetcher {
     /// store handle is separate from the foreground one).
     pub fn background_tracker(&self) -> &DiskTracker {
         &self.tracker
-    }
-
-    /// Drops every buffered result (regions go stale when the model moves).
-    pub fn clear_ready(&self) {
-        let (lock, _) = &*self.shared;
-        lock.lock().ready.clear();
     }
 
     /// Cumulative background I/O (reported separately from foreground).
@@ -351,6 +388,14 @@ mod tests {
     use uei_types::{AttributeDef, Rng, Schema};
 
     fn build(tag: &str, n: usize) -> (Arc<ColumnStore>, Grid, ChunkMapping, TempDir) {
+        build_grid(tag, n, 3)
+    }
+
+    fn build_grid(
+        tag: &str,
+        n: usize,
+        cells_per_dim: usize,
+    ) -> (Arc<ColumnStore>, Grid, ChunkMapping, TempDir) {
         let dir = TempDir::new(&format!("prefetch-{tag}"));
         let schema = Schema::new(vec![
             AttributeDef::new("x", 0.0, 100.0).unwrap(),
@@ -372,7 +417,7 @@ mod tests {
             tracker,
         )
         .unwrap();
-        let grid = Grid::new(store.schema(), 3).unwrap();
+        let grid = Grid::new(store.schema(), cells_per_dim).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
         (Arc::new(store), grid, mapping, dir)
     }
@@ -472,16 +517,22 @@ mod tests {
     }
 
     #[test]
-    fn clear_ready_drops_stale_regions() {
-        let (store, grid, mapping, _dir) = build("stale", 800);
+    fn ready_buffer_keeps_only_the_latest_round() {
+        // Fifty rounds of θ+1 = 2 distinct cells each, none ever taken:
+        // without eviction all 100 regions would stay resident.
+        let (store, grid, mapping, _dir) = build_grid("rounds", 1500, 10);
         let pre = Prefetcher::spawn(store.dir(), IoProfile::instant(), grid, mapping).unwrap();
-        pre.request(2);
-        // Wait for completion, then clear without taking.
-        while pre.is_pending(2) {
+        for round in 0..50 {
+            pre.request_round(&[2 * round, 2 * round + 1]);
+        }
+        while (0..100).any(|c| pre.is_pending(c)) {
             std::thread::sleep(Duration::from_millis(5));
         }
-        pre.clear_ready();
-        assert!(pre.take(2).is_none());
+        assert_eq!(pre.total_failures(), 0);
+        assert!(pre.ready_count() <= 2, "{} regions buffered", pre.ready_count());
+        assert_eq!(pre.ready_count() as u64 + pre.evictions(), 100, "every drop is counted");
+        // The surviving results are the latest round's.
+        assert!((0..98).all(|c| !pre.has_ready(c)));
     }
 
     #[test]

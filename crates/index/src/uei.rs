@@ -236,8 +236,9 @@ impl UeiIndex {
     /// [`UeiIndex::update_uncertainty`] with locality-pruned invalidation:
     /// `added` are the raw-space training examples labeled since the last
     /// rescoring pass, and only the index points inside their influence
-    /// balls (per the model's [`uei_learn::ModelDelta`]) are rescored — the
-    /// rest are served from the score cache. Selection is bit-identical to
+    /// balls are rescored, by patching their cached neighbour lists
+    /// ([`uei_learn::Classifier::rescore_range`]) — the rest are served
+    /// from the score cache. Selection is bit-identical to
     /// a full rescore; see [`IndexPoints::update_incremental`].
     ///
     /// Falls back to the full paths of [`UeiIndex::update_uncertainty`]

@@ -1,8 +1,9 @@
-//! The model-delta contract behind incremental index-point rescoring.
+//! Neighbour-list capture and patching behind incremental index-point
+//! rescoring.
 //!
 //! The exploration loop retrains its model after every label, yet a label
 //! is one point: for the nearest-neighbour family (the paper's DWKNN,
-//! Table 1) the posterior of a query `q` can only change when the new
+//! Table 1) the posterior of a query `q` can only change when a new
 //! training example *enters q's k-nearest-neighbour set*, i.e. when
 //!
 //! ```text
@@ -12,393 +13,257 @@
 //! where `r_k(q)` is the distance from `q` to its k-th nearest neighbour
 //! under the previous model. Everything farther away is provably
 //! untouched — its neighbour set, tie-breaks, and summation order are
-//! unchanged, so its posterior is *bit-identical*. A caller that caches
-//! each query's previous score plus its `r_k` radius can therefore rescore
-//! only the queries inside the influence ball of the newly added examples
-//! and keep every other score verbatim.
+//! unchanged, so its posterior is *bit-identical*.
 //!
-//! Models whose updates are global (Naive Bayes class statistics, SVM
-//! weights, a committee of bootstrap resamples) cannot bound their change
-//! spatially; they report [`ModelDelta::Global`] — the conservative
-//! invalidate-all default — and the caller falls back to a full rescore.
+//! A caller that keeps each query's previous score, its squared radius
+//! `r_k²` and its k neighbour build indices can go one step further than
+//! skipping the clean queries: a *dirty* query's new neighbour list is the
+//! top k of its old list together with the examples appended since, so it
+//! is patched in `O(k + m)` distance evaluations (`m` appended examples)
+//! instead of a fresh kd-tree query. [`RangePass::Capture`] fills that state
+//! from the same [`KdTree::nearest_with`] traversal that scores each query;
+//! [`RangePass::Patch`] updates it in place.
 //!
-//! Two soundness details the kNN-family implementations rely on:
+//! Three exactness details the kNN-family implementation relies on:
 //!
-//! - **Exact ties.** The kd-tree resolves equal distances toward the lower
-//!   build index, and retraining appends new examples *after* all previous
-//!   ones (the labeled set is append-only), so at exact distance equality
-//!   the new example always *loses* the tie. The strict `<` test above is
-//!   therefore exactly the "neighbour set changed" predicate, not an
-//!   approximation of it.
-//! - **Unsaturated neighbourhoods.** While fewer than `k` training
-//!   examples exist, every new example joins every query's neighbour set;
-//!   such queries carry an infinite radius and are always dirty.
+//! - **Exact ties.** The kd-tree orders neighbours by `(d², build index)`,
+//!   and retraining appends new examples *after* all previous ones (the
+//!   labeled set is append-only), so at exact distance equality a new
+//!   example always *loses* the tie. The strict `<` test above is therefore
+//!   exactly the "neighbour set changed" predicate.
+//! - **Why the patch is exact.** Every old example outside the old list
+//!   ranks after the old k-th neighbour under the new model too (distances
+//!   and build indices do not change), so the new top k is drawn from the
+//!   old list plus the appended examples — ordered by the same
+//!   `(d², build index)` key with distances from the same kernel and
+//!   operand order, hence bit-identical to a fresh query.
+//! - **Unsaturated neighbourhoods.** While fewer than `k` training examples
+//!   exist, every new example joins every query's neighbour set; such
+//!   queries carry an infinite radius and are always dirty, and their
+//!   (padded) old list holds *every* old example, so the patch stays exact.
+//!
+//! **Lineage.** The captured lists name build indices of one particular
+//! training set. A patch names the training length the lists were captured
+//! (or last patched) at — `since` — and the model treats build indices
+//! `since..` as the appended examples. A model whose training set is shorter
+//! than `since`, a malformed margin or geometry that produces NaN distances
+//! make the patch return `None`, and the caller rescores from scratch.
 
-/// A scored batch with optional per-query influence radii.
-///
-/// Produced by
-/// [`Classifier::predict_proba_batch_tracked`](crate::model::Classifier::predict_proba_batch_tracked).
-/// `probs[i]` is bit-identical to `predict_proba(xs[i])`; `radii2`, when
-/// present, holds each query's *squared* k-th-neighbour distance in the
-/// model's own input space. Radii are opaque to callers: they are stored
-/// verbatim and handed back to
-/// [`Classifier::model_delta`](crate::model::Classifier::model_delta) on
-/// the next iteration, never interpreted.
-#[derive(Debug, Clone)]
-pub struct ScoredBatch {
-    /// Posterior probabilities, in input order.
-    pub probs: Vec<f64>,
-    /// Squared influence radii per query, when the model can bound its
-    /// updates spatially (`None` for globally updating models).
-    pub radii2: Option<Vec<f64>>,
+use std::ops::Range;
+
+use uei_types::point::squared_distance;
+use uei_types::PointMatrix;
+
+use crate::kdtree::{KdTree, NearestScratch, Neighbor};
+
+/// Padding of a neighbour list shorter than the list width (an
+/// unsaturated neighbourhood).
+pub const NO_NEIGHBOUR: u32 = u32::MAX;
+
+/// What one [`Classifier::rescore_range`](crate::model::Classifier::rescore_range)
+/// call does to its rows.
+#[derive(Debug, Clone, Copy)]
+pub enum RangePass<'a> {
+    /// Score every row from scratch and capture its radius and neighbour
+    /// list.
+    Capture,
+    /// Bring rows captured (or last patched) under a model of training
+    /// length `since` up to date with `self`: only rows whose influence
+    /// ball — inflated by `1 + margin` — strictly contains one of `added`
+    /// (or whose radius is infinite) are rescored.
+    Patch {
+        /// Training length the row state is valid for.
+        since: usize,
+        /// Examples whose influence decides which rows are dirty; may be a
+        /// superset of the examples the model gained since `since`.
+        added: &'a [&'a [f64]],
+        /// Safety factor `≥ 0` on every radius: only adds dirty rows.
+        margin: f64,
+    },
 }
 
-/// Which cached scores a model update may have changed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ModelDelta {
-    /// The update is (or must be assumed) global: every cached score may
-    /// have changed. The conservative default.
-    Global,
-    /// `dirty[i]` marks whether query `i`'s score may have changed; clean
-    /// entries are guaranteed bit-identical under the new model.
-    Dirty(Vec<bool>),
+/// The per-row rescoring state of a contiguous row range, owned by the
+/// caller and updated in place.
+pub struct TrackedRange<'a> {
+    /// Maps a fresh posterior to the value stored in `scores` (an
+    /// uncertainty measure, or the identity).
+    pub score: &'a dyn Fn(f64) -> f64,
+    /// One score per row.
+    pub scores: &'a mut [f64],
+    /// One squared influence radius per row (`+∞` = always dirty).
+    pub radii2: &'a mut [f64],
+    /// `rows × width` neighbour build indices, row-major, ascending by
+    /// `(d², build index)` and padded with [`NO_NEIGHBOUR`].
+    pub neighbours: &'a mut [u32],
 }
 
-impl ModelDelta {
-    /// Number of dirty entries, or `points` for a global delta.
-    pub fn dirty_count(&self, points: usize) -> usize {
-        match self {
-            ModelDelta::Global => points,
-            ModelDelta::Dirty(mask) => mask.iter().filter(|&&d| d).count(),
-        }
-    }
+/// What the shared range helper needs from a kNN-family model.
+pub(crate) trait NeighbourPosterior {
+    /// Per-worker buffers of [`Self::proba_radius_from`].
+    type Buf: Default;
+    /// The training examples, in build order.
+    fn tree(&self) -> &KdTree;
+    /// Neighbourhood size (the neighbour-list width).
+    fn k(&self) -> usize;
+    /// Posterior and squared influence radius of a query whose neighbours,
+    /// ascending by `(d², build index)`, are `neighbours` — the one
+    /// function behind both the kd-tree path and the patch.
+    fn proba_radius_from(&self, buf: &mut Self::Buf, neighbours: &[Neighbor]) -> (f64, f64);
 }
 
-use uei_types::{point::squared_distances_block, PointMatrix};
-
-/// Squared Euclidean distance over the shared prefix of two slices.
-/// Slices of equal length (the only case the delta computations feed it)
-/// get the true squared distance.
-#[inline]
-pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for i in 0..a.len().min(b.len()) {
-        let d = a[i] - b[i];
-        acc += d * d;
-    }
-    acc
-}
-
-/// The shared kNN-family delta: `dirty[i]` iff some added example falls
-/// strictly inside query `i`'s (margin-inflated) influence ball, or the
-/// query's radius is unknown/unbounded.
-///
-/// `margin ≥ 0` inflates every radius by `(1 + margin)` — a safety factor
-/// that can only *add* dirty points, never hide one, so any margin keeps
-/// the delta sound. Dimension disagreements between `points` and `added`
-/// degrade to [`ModelDelta::Global`] rather than guess.
-pub fn knn_influence_delta(
-    points: &[&[f64]],
-    radii2: &[f64],
-    added: &[&[f64]],
-    margin: f64,
-    parallel_threshold: usize,
-) -> ModelDelta {
-    if radii2.len() != points.len() || !(margin >= 0.0) || !margin.is_finite() {
-        return ModelDelta::Global;
-    }
-    let dims = points.first().map_or(0, |p| p.len());
-    if points.iter().chain(added).any(|p| p.len() != dims) {
-        return ModelDelta::Global;
-    }
-    let inflate = (1.0 + margin) * (1.0 + margin);
-    let compute = |i: usize| -> bool {
-        let r2 = radii2[i];
-        if !r2.is_finite() {
-            return true;
-        }
-        let bound = r2 * inflate;
-        added.iter().any(|a| dist2(points[i], a) < bound)
-    };
-    let dirty: Vec<bool> = if crate::batch::should_parallelize_at(points.len(), parallel_threshold)
-    {
-        use rayon::prelude::*;
-        (0..points.len()).into_par_iter().map(compute).collect()
-    } else {
-        (0..points.len()).map(compute).collect()
-    };
-    ModelDelta::Dirty(dirty)
-}
-
-/// Rows per work unit in [`knn_influence_delta_flat`]: big enough that the
-/// blocked distance kernel amortizes its setup, small enough to spread
-/// across cores.
-const FLAT_DELTA_BLOCK: usize = 1024;
-
-/// [`knn_influence_delta`] over the flat row-major layout: the influence
-/// test runs as blocked distance sweeps over contiguous storage (one
-/// linear pass per added example) instead of a pointer chase per point.
-///
-/// The dirty mask is *identical* to the slice-of-refs variant: each
-/// squared distance is accumulated in the same ascending-dimension order,
-/// and the strict `<` comparison against the inflated radius is the same
-/// predicate — only the iteration order over (point, added) pairs differs,
-/// and a boolean OR is order-independent.
-pub fn knn_influence_delta_flat(
+/// [`Classifier::rescore_range`](crate::model::Classifier::rescore_range)
+/// for the kNN family: a capture runs one kd-tree query per row, a patch
+/// tests each row's influence ball and rebuilds the dirty rows' lists from
+/// their old lists plus the appended examples. Returns the number of rows
+/// rescored, or `None` on malformed input, broken lineage or NaN geometry
+/// (the row state may then be partially updated and must be recaptured).
+pub(crate) fn knn_rescore_range<M: NeighbourPosterior>(
+    model: &M,
     points: &PointMatrix,
-    radii2: &[f64],
-    added: &[&[f64]],
-    margin: f64,
-    parallel_threshold: usize,
-) -> ModelDelta {
-    knn_influence_delta_flat_range(
-        points,
-        0..points.len(),
-        radii2,
-        added,
-        margin,
-        parallel_threshold,
-    )
-}
-
-/// [`knn_influence_delta_flat`] restricted to the row range `rows` of the
-/// matrix — the shard-local form the partitioned index-point plane uses to
-/// map each new example's influence ball onto the shards it intersects.
-///
-/// `radii2` holds the radii of the *range* only (`radii2.len() ==
-/// rows.len()`), and the returned mask covers the range in row order. The
-/// dirty decision is a per-point predicate, so for any partition of
-/// `0..points.len()` into ranges the concatenated range masks equal the
-/// full-matrix mask bit for bit — block boundaries only change iteration
-/// order of a boolean OR.
-pub fn knn_influence_delta_flat_range(
-    points: &PointMatrix,
-    rows: std::ops::Range<usize>,
-    radii2: &[f64],
-    added: &[&[f64]],
-    margin: f64,
-    parallel_threshold: usize,
-) -> ModelDelta {
-    if rows.start > rows.end || rows.end > points.len() {
-        return ModelDelta::Global;
-    }
+    rows: Range<usize>,
+    pass: RangePass<'_>,
+    mut out: TrackedRange<'_>,
+) -> Option<usize> {
+    let tree = model.tree();
+    let k = model.k();
     let n = rows.len();
-    if radii2.len() != n || !(margin >= 0.0) || !margin.is_finite() {
-        return ModelDelta::Global;
+    let well_formed = rows.start <= rows.end
+        && rows.end <= points.len()
+        && points.dims() == tree.dims()
+        && out.scores.len() == n
+        && out.radii2.len() == n
+        && out.neighbours.len() == n.checked_mul(k)?;
+    if !well_formed {
+        return None;
     }
-    let dims = points.dims();
-    if added.iter().any(|a| a.len() != dims) {
-        return ModelDelta::Global;
-    }
-    let inflate = (1.0 + margin) * (1.0 + margin);
-    let flat = points.as_flat();
-    let base = rows.start;
-    // `lo`/`hi` are offsets within the range; the flat buffer is addressed
-    // at `base + offset`.
-    let compute_range = |lo: usize, hi: usize| -> Vec<bool> {
-        let mut dirty: Vec<bool> = radii2[lo..hi].iter().map(|r| !r.is_finite()).collect();
-        let mut dists = Vec::with_capacity(hi - lo);
-        for a in added {
-            dists.clear();
-            let block = &flat[(base + lo) * dims..(base + hi) * dims];
-            if squared_distances_block(a, block, dims, &mut dists).is_err() {
-                // Unreachable after the dims check above; stay conservative.
-                dirty.iter_mut().for_each(|d| *d = true);
-                return dirty;
+    let mut buf = M::Buf::default();
+    match pass {
+        RangePass::Capture => {
+            let mut scratch = NearestScratch::new();
+            for (j, i) in rows.enumerate() {
+                let neighbours = tree.nearest_with(&mut scratch, points.row(i), k).ok()?;
+                write_row(model, &mut buf, &mut out, j, neighbours);
             }
-            for (j, &d2) in dists.iter().enumerate() {
-                let r2 = radii2[lo + j];
-                if !dirty[j] && r2.is_finite() && d2 < r2 * inflate {
-                    dirty[j] = true;
-                }
-            }
+            Some(n)
         }
-        dirty
-    };
-    let ranges: Vec<(usize, usize)> =
-        (0..n).step_by(FLAT_DELTA_BLOCK).map(|lo| (lo, (lo + FLAT_DELTA_BLOCK).min(n))).collect();
-    let blocks: Vec<Vec<bool>> = if crate::batch::should_parallelize_at(n, parallel_threshold) {
-        use rayon::prelude::*;
-        ranges.par_iter().map(|&(lo, hi)| compute_range(lo, hi)).collect()
-    } else {
-        ranges.iter().map(|&(lo, hi)| compute_range(lo, hi)).collect()
-    };
-    let mut dirty = Vec::with_capacity(n);
-    for block in blocks {
-        dirty.extend(block);
+        RangePass::Patch { since, added, margin } => {
+            if since > tree.len() || !(margin >= 0.0) || !margin.is_finite() {
+                return None;
+            }
+            if added.iter().any(|a| a.len() != points.dims()) {
+                return None;
+            }
+            let inflate = (1.0 + margin) * (1.0 + margin);
+            let mut candidates: Vec<Neighbor> = Vec::with_capacity(k + tree.len() - since);
+            let mut rescored = 0;
+            for (j, i) in rows.enumerate() {
+                let x = points.row(i);
+                let r2 = out.radii2[j];
+                if r2.is_finite() {
+                    let bound = r2 * inflate;
+                    let mut dirty = false;
+                    for a in added {
+                        let d2 = squared_distance(x, a).ok()?;
+                        if d2.is_nan() {
+                            return None;
+                        }
+                        if d2 < bound {
+                            dirty = true;
+                            break;
+                        }
+                    }
+                    if !dirty {
+                        continue;
+                    }
+                }
+                candidates.clear();
+                for &id in &out.neighbours[j * k..(j + 1) * k] {
+                    if id == NO_NEIGHBOUR {
+                        break;
+                    }
+                    let id = id as usize;
+                    if id >= since {
+                        return None;
+                    }
+                    candidates.push((squared_distance(tree.point(id), x).ok()?, id));
+                }
+                for id in since..tree.len() {
+                    candidates.push((squared_distance(tree.point(id), x).ok()?, id));
+                }
+                if candidates.iter().any(|c| c.0.is_nan()) {
+                    return None;
+                }
+                candidates.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                candidates.truncate(k);
+                write_row(model, &mut buf, &mut out, j, &candidates);
+                rescored += 1;
+            }
+            Some(rescored)
+        }
     }
-    ModelDelta::Dirty(dirty)
+}
+
+/// Stores row `j`'s fresh score, radius and (padded) neighbour list.
+fn write_row<M: NeighbourPosterior>(
+    model: &M,
+    buf: &mut M::Buf,
+    out: &mut TrackedRange<'_>,
+    j: usize,
+    neighbours: &[Neighbor],
+) {
+    let k = model.k();
+    let (p, r2) = model.proba_radius_from(buf, neighbours);
+    out.scores[j] = (out.score)(p);
+    out.radii2[j] = r2;
+    let ids = neighbours.iter().map(|&(_, i)| i as u32).chain(std::iter::repeat(NO_NEIGHBOUR));
+    for (slot, id) in out.neighbours[j * k..(j + 1) * k].iter_mut().zip(ids) {
+        *slot = id;
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod test_support {
     use super::*;
+    use crate::model::Classifier;
 
-    #[test]
-    fn dist2_matches_euclidean() {
-        assert_eq!(dist2(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-        assert_eq!(dist2(&[1.0], &[1.0]), 0.0);
+    /// Whole-matrix row state for unit tests; scores hold raw posteriors.
+    pub(crate) struct RowState {
+        pub scores: Vec<f64>,
+        pub radii2: Vec<f64>,
+        pub neighbours: Vec<u32>,
     }
 
-    #[test]
-    fn delta_marks_only_points_inside_influence_balls() {
-        let points: Vec<Vec<f64>> = vec![vec![0.0, 0.0], vec![10.0, 0.0], vec![0.0, 10.0]];
-        let refs: Vec<&[f64]> = points.iter().map(|p| p.as_slice()).collect();
-        let radii2 = [4.0, 4.0, 150.0]; // last radius covers the new point
-        let added = [vec![1.0, 0.0]];
-        let added_refs: Vec<&[f64]> = added.iter().map(|p| p.as_slice()).collect();
-        let delta = knn_influence_delta(&refs, &radii2, &added_refs, 0.0, usize::MAX);
-        assert_eq!(delta, ModelDelta::Dirty(vec![true, false, true]));
-        assert_eq!(delta.dirty_count(3), 2);
-    }
-
-    #[test]
-    fn boundary_distance_is_clean_under_strict_comparison() {
-        // dist² == radius² exactly: the new example loses the kd-tree tie
-        // (it has the highest build index), so the point must stay clean.
-        let points: Vec<Vec<f64>> = vec![vec![0.0]];
-        let refs: Vec<&[f64]> = points.iter().map(|p| p.as_slice()).collect();
-        let added = [vec![2.0]];
-        let added_refs: Vec<&[f64]> = added.iter().map(|p| p.as_slice()).collect();
-        let delta = knn_influence_delta(&refs, &[4.0], &added_refs, 0.0, usize::MAX);
-        assert_eq!(delta, ModelDelta::Dirty(vec![false]));
-        // A margin inflates the ball and flips it dirty — margins only add.
-        let delta = knn_influence_delta(&refs, &[4.0], &added_refs, 0.1, usize::MAX);
-        assert_eq!(delta, ModelDelta::Dirty(vec![true]));
-    }
-
-    #[test]
-    fn infinite_radius_is_always_dirty() {
-        let points: Vec<Vec<f64>> = vec![vec![0.0]];
-        let refs: Vec<&[f64]> = points.iter().map(|p| p.as_slice()).collect();
-        let added = [vec![1e9]];
-        let added_refs: Vec<&[f64]> = added.iter().map(|p| p.as_slice()).collect();
-        let delta = knn_influence_delta(&refs, &[f64::INFINITY], &added_refs, 0.0, usize::MAX);
-        assert_eq!(delta, ModelDelta::Dirty(vec![true]));
-    }
-
-    #[test]
-    fn degenerate_inputs_fall_back_to_global() {
-        let points: Vec<Vec<f64>> = vec![vec![0.0, 0.0]];
-        let refs: Vec<&[f64]> = points.iter().map(|p| p.as_slice()).collect();
-        let ragged = [vec![1.0]];
-        let ragged_refs: Vec<&[f64]> = ragged.iter().map(|p| p.as_slice()).collect();
-        // Radii length mismatch.
-        assert_eq!(knn_influence_delta(&refs, &[], &ragged_refs, 0.0, 256), ModelDelta::Global);
-        // Added point of the wrong dimensionality.
-        assert_eq!(knn_influence_delta(&refs, &[1.0], &ragged_refs, 0.0, 256), ModelDelta::Global);
-        // Invalid margins.
-        let ok = [vec![1.0, 1.0]];
-        let ok_refs: Vec<&[f64]> = ok.iter().map(|p| p.as_slice()).collect();
-        assert_eq!(knn_influence_delta(&refs, &[1.0], &ok_refs, -0.5, 256), ModelDelta::Global);
-        assert_eq!(knn_influence_delta(&refs, &[1.0], &ok_refs, f64::NAN, 256), ModelDelta::Global);
-    }
-
-    #[test]
-    fn no_added_points_means_all_clean() {
-        let points: Vec<Vec<f64>> = vec![vec![0.0], vec![5.0]];
-        let refs: Vec<&[f64]> = points.iter().map(|p| p.as_slice()).collect();
-        let delta = knn_influence_delta(&refs, &[1.0, 1.0], &[], 0.0, 256);
-        assert_eq!(delta, ModelDelta::Dirty(vec![false, false]));
-    }
-
-    #[test]
-    fn flat_delta_matches_ref_delta() {
-        use uei_types::Rng;
-        let mut rng = Rng::new(0xD17A);
-        // Enough points to span multiple FLAT_DELTA_BLOCK work units.
-        let n = 2 * super::FLAT_DELTA_BLOCK + 37;
-        let mut points = Vec::with_capacity(n);
-        let mut radii2 = Vec::with_capacity(n);
-        for i in 0..n {
-            points.push(vec![rng.range_f64(-4.0, 4.0), rng.range_f64(-4.0, 4.0)]);
-            radii2.push(if i % 97 == 0 { f64::INFINITY } else { rng.range_f64(0.01, 2.0) });
-        }
-        let refs: Vec<&[f64]> = points.iter().map(|p| p.as_slice()).collect();
-        let matrix = PointMatrix::from_rows(&points).unwrap();
-        let added = [vec![0.5, -0.5], vec![-3.0, 3.0]];
-        let added_refs: Vec<&[f64]> = added.iter().map(|p| p.as_slice()).collect();
-        for margin in [0.0, 0.25] {
-            let want = knn_influence_delta(&refs, &radii2, &added_refs, margin, usize::MAX);
-            // Exercise both the sequential and the parallel flat path.
-            for threshold in [usize::MAX, 1] {
-                let got =
-                    knn_influence_delta_flat(&matrix, &radii2, &added_refs, margin, threshold);
-                assert_eq!(got, want, "margin {margin}, threshold {threshold}");
+    impl RowState {
+        pub fn new(rows: usize, width: usize) -> RowState {
+            RowState {
+                scores: vec![0.0; rows],
+                radii2: vec![0.0; rows],
+                neighbours: vec![NO_NEIGHBOUR; rows * width],
             }
         }
-        // Degenerate inputs degrade to Global exactly like the ref variant.
-        let bad = [vec![1.0]];
-        let bad_refs: Vec<&[f64]> = bad.iter().map(|p| p.as_slice()).collect();
-        assert_eq!(
-            knn_influence_delta_flat(&matrix, &radii2, &bad_refs, 0.0, 256),
-            ModelDelta::Global
-        );
-        assert_eq!(
-            knn_influence_delta_flat(&matrix, &radii2[1..], &added_refs, 0.0, 256),
-            ModelDelta::Global
-        );
-        assert_eq!(
-            knn_influence_delta_flat(&matrix, &radii2, &added_refs, f64::NAN, 256),
-            ModelDelta::Global
-        );
-    }
 
-    #[test]
-    fn range_masks_partition_the_full_mask() {
-        use uei_types::Rng;
-        let mut rng = Rng::new(0x5A4D);
-        let n = super::FLAT_DELTA_BLOCK + 513;
-        let mut points = Vec::with_capacity(n);
-        let mut radii2 = Vec::with_capacity(n);
-        for i in 0..n {
-            points.push(vec![rng.range_f64(-4.0, 4.0), rng.range_f64(-4.0, 4.0)]);
-            radii2.push(if i % 89 == 0 { f64::INFINITY } else { rng.range_f64(0.01, 2.0) });
+        /// Runs `pass` over every row of `points`.
+        pub fn run(
+            &mut self,
+            model: &dyn Classifier,
+            points: &PointMatrix,
+            pass: RangePass<'_>,
+        ) -> Option<usize> {
+            let out = TrackedRange {
+                score: &|p| p,
+                scores: &mut self.scores,
+                radii2: &mut self.radii2,
+                neighbours: &mut self.neighbours,
+            };
+            model.rescore_range(points, 0..points.len(), pass, out)
         }
-        let matrix = PointMatrix::from_rows(&points).unwrap();
-        let added = [vec![0.25, -0.75], vec![2.0, 2.0]];
-        let added_refs: Vec<&[f64]> = added.iter().map(|p| p.as_slice()).collect();
-        let ModelDelta::Dirty(want) =
-            knn_influence_delta_flat(&matrix, &radii2, &added_refs, 0.1, usize::MAX)
-        else {
-            panic!("flat delta must prune");
-        };
-        // Unaligned partitions (nothing divides FLAT_DELTA_BLOCK) must
-        // reassemble the exact full mask, sequentially and in parallel.
-        for cuts in [vec![0, n], vec![0, 7, n], vec![0, 300, 301, 1500, n]] {
-            for threshold in [usize::MAX, 1] {
-                let mut got = Vec::with_capacity(n);
-                for w in cuts.windows(2) {
-                    let (lo, hi) = (w[0], w[1]);
-                    match knn_influence_delta_flat_range(
-                        &matrix,
-                        lo..hi,
-                        &radii2[lo..hi],
-                        &added_refs,
-                        0.1,
-                        threshold,
-                    ) {
-                        ModelDelta::Dirty(mask) => got.extend(mask),
-                        ModelDelta::Global => panic!("range {lo}..{hi} degraded to Global"),
-                    }
-                }
-                assert_eq!(got, want, "cuts {cuts:?}, threshold {threshold}");
-            }
+
+        /// Bitwise equality of every score, radius and neighbour id.
+        pub fn bit_eq(&self, other: &RowState) -> bool {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            bits(&self.scores) == bits(&other.scores)
+                && bits(&self.radii2) == bits(&other.radii2)
+                && self.neighbours == other.neighbours
         }
-        // Degenerate ranges degrade to Global like every other bad input.
-        #[allow(clippy::reversed_empty_ranges)]
-        let reversed = 5..3;
-        assert_eq!(
-            knn_influence_delta_flat_range(&matrix, reversed, &[], &added_refs, 0.0, 256),
-            ModelDelta::Global
-        );
-        assert_eq!(
-            knn_influence_delta_flat_range(&matrix, 0..n + 1, &radii2, &added_refs, 0.0, 256),
-            ModelDelta::Global
-        );
-        assert_eq!(
-            knn_influence_delta_flat_range(&matrix, 0..4, &radii2[..3], &added_refs, 0.0, 256),
-            ModelDelta::Global
-        );
     }
 }

@@ -17,18 +17,24 @@
 
 use uei_types::{Label, PointMatrix, Result, UeiError};
 
-use crate::delta::{knn_influence_delta, knn_influence_delta_flat, ModelDelta, ScoredBatch};
-use crate::kdtree::{KdTree, NearestScratch};
+use crate::delta::{knn_rescore_range, NeighbourPosterior, RangePass, TrackedRange};
+use crate::kdtree::{KdTree, NearestScratch, Neighbor};
 use crate::model::{check_two_classes, Classifier};
 
+/// The distance/weight vectors every posterior evaluation fills.
+#[derive(Default)]
+pub(crate) struct DualBuf {
+    distances: Vec<f64>,
+    weights: Vec<f64>,
+}
+
 /// Per-worker buffers for batch scoring: kd-tree traversal scratch plus the
-/// distance/weight vectors every query fills. Reusing them removes all
-/// per-query allocation from the rescoring hot loop.
+/// posterior buffers. Reusing them removes all per-query allocation from
+/// the rescoring hot loop.
 #[derive(Default)]
 struct DwknnScratch {
     nearest: NearestScratch,
-    distances: Vec<f64>,
-    weights: Vec<f64>,
+    buf: DualBuf,
 }
 
 /// A trained DWKNN classifier.
@@ -118,22 +124,32 @@ impl Dwknn {
     }
 
     /// The posterior computation, parameterized over reusable scratch so
-    /// both the scalar and batch paths run the exact same code.
+    /// both the scalar and batch paths run the exact same code: one kd-tree
+    /// query, then [`NeighbourPosterior::proba_radius_from`] — the function
+    /// the incremental patch evaluates too.
     fn proba_with(&self, scratch: &mut DwknnScratch, x: &[f64]) -> f64 {
-        self.proba_radius_with(scratch, x).0
+        match self.tree.nearest_with(&mut scratch.nearest, x, self.k) {
+            Ok(neighbors) => self.proba_radius_from(&mut scratch.buf, neighbors).0,
+            Err(_) => 0.5, // dimension mismatch
+        }
+    }
+}
+
+impl NeighbourPosterior for Dwknn {
+    type Buf = DualBuf;
+
+    fn tree(&self) -> &KdTree {
+        &self.tree
     }
 
-    /// The posterior plus the query's squared influence radius — the
-    /// distance to its k-th nearest neighbour, straight off the same tree
-    /// traversal that scored it. The radius is infinite when the
-    /// neighbourhood is unsaturated (fewer than `k` training examples) or
-    /// the query could not be answered, i.e. whenever *any* future
-    /// training example could change the score.
-    fn proba_radius_with(&self, scratch: &mut DwknnScratch, x: &[f64]) -> (f64, f64) {
-        let neighbors = match self.tree.nearest_with(&mut scratch.nearest, x, self.k) {
-            Ok(n) => n,
-            Err(_) => return (0.5, f64::INFINITY), // dimension mismatch
-        };
+    fn k(&self) -> usize {
+        self.k
+    }
+
+    /// The radius is infinite when the neighbourhood is unsaturated (fewer
+    /// than `k` training examples), i.e. whenever *any* future training
+    /// example could change the score.
+    fn proba_radius_from(&self, buf: &mut DualBuf, neighbors: &[Neighbor]) -> (f64, f64) {
         if neighbors.is_empty() {
             return (0.5, f64::INFINITY);
         }
@@ -143,12 +159,12 @@ impl Dwknn {
             f64::INFINITY
         };
         // kd-tree returns squared distances; DWKNN weights use true distances.
-        scratch.distances.clear();
-        scratch.distances.extend(neighbors.iter().map(|(d2, _)| d2.sqrt()));
-        Dwknn::dual_weights_into(&scratch.distances, &mut scratch.weights);
+        buf.distances.clear();
+        buf.distances.extend(neighbors.iter().map(|(d2, _)| d2.sqrt()));
+        Dwknn::dual_weights_into(&buf.distances, &mut buf.weights);
         let mut pos = 0.0;
         let mut total = 0.0;
-        for (w, (_, idx)) in scratch.weights.iter().zip(neighbors) {
+        for (w, (_, idx)) in buf.weights.iter().zip(neighbors) {
             total += w;
             if self.labels[*idx].is_positive() {
                 pos += w;
@@ -174,55 +190,18 @@ impl Classifier for Dwknn {
         crate::batch::map_batch_with(xs, DwknnScratch::default, |s, x| self.proba_with(s, x))
     }
 
-    fn predict_proba_batch_tracked(&self, xs: &[&[f64]]) -> ScoredBatch {
-        let pairs = crate::batch::map_batch_with(xs, DwknnScratch::default, |s, x| {
-            self.proba_radius_with(s, x)
-        });
-        let mut probs = Vec::with_capacity(pairs.len());
-        let mut radii2 = Vec::with_capacity(pairs.len());
-        for (p, r2) in pairs {
-            probs.push(p);
-            radii2.push(r2);
-        }
-        ScoredBatch { probs, radii2: Some(radii2) }
+    fn neighbour_width(&self) -> Option<usize> {
+        Some(self.k)
     }
 
-    fn model_delta(
-        &self,
-        points: &[&[f64]],
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> ModelDelta {
-        knn_influence_delta(points, radii2, added, margin, self.parallel_batch_threshold())
-    }
-
-    fn model_delta_matrix(
-        &self,
-        points: &PointMatrix,
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> ModelDelta {
-        knn_influence_delta_flat(points, radii2, added, margin, self.parallel_batch_threshold())
-    }
-
-    fn model_delta_matrix_range(
+    fn rescore_range(
         &self,
         points: &PointMatrix,
         rows: std::ops::Range<usize>,
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> ModelDelta {
-        crate::delta::knn_influence_delta_flat_range(
-            points,
-            rows,
-            radii2,
-            added,
-            margin,
-            self.parallel_batch_threshold(),
-        )
+        pass: RangePass<'_>,
+        out: TrackedRange<'_>,
+    ) -> Option<usize> {
+        knn_rescore_range(self, points, rows, pass, out)
     }
 
     fn influence_position(&self, x: &[f64]) -> Option<Vec<f64>> {
@@ -244,6 +223,8 @@ impl Classifier for Dwknn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::test_support::RowState;
+    use crate::delta::NO_NEIGHBOUR;
 
     fn cluster_examples() -> Vec<(Vec<f64>, Label)> {
         let mut ex = Vec::new();
@@ -350,71 +331,72 @@ mod tests {
     }
 
     #[test]
-    fn tracked_batch_matches_plain_and_reports_radii() {
+    fn capture_matches_plain_batch_and_records_neighbours() {
         let model = Dwknn::fit(3, &cluster_examples()).unwrap();
-        let queries: Vec<Vec<f64>> = vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![-2.0, 0.5]];
-        let refs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
-        let plain = model.predict_proba_batch(&refs);
-        let tracked = model.predict_proba_batch_tracked(&refs);
-        for (a, b) in plain.iter().zip(&tracked.probs) {
+        let queries =
+            PointMatrix::from_rows(&[vec![0.0, 0.0], vec![1.0, 1.0], vec![-2.0, 0.5]]).unwrap();
+        let mut state = RowState::new(queries.len(), 3);
+        assert_eq!(state.run(&model, &queries, RangePass::Capture), Some(3));
+        let plain = model.predict_proba_batch(&queries.row_refs());
+        for (i, (a, b)) in plain.iter().zip(&state.scores).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits());
+            let ids: Vec<u32> = model
+                .tree
+                .nearest(queries.row(i), 3)
+                .unwrap()
+                .iter()
+                .map(|&(_, id)| id as u32)
+                .collect();
+            assert_eq!(state.neighbours[i * 3..(i + 1) * 3], ids[..], "query {i}");
         }
-        let radii2 = tracked.radii2.expect("kNN-family models report radii");
         // 16 training examples ≥ k = 3: every neighbourhood is saturated.
-        assert!(radii2.iter().all(|r| r.is_finite() && *r > 0.0), "{radii2:?}");
+        assert!(state.radii2.iter().all(|r| r.is_finite() && *r > 0.0), "{:?}", state.radii2);
     }
 
     #[test]
     fn unsaturated_neighbourhood_has_infinite_radius() {
         let small = vec![(vec![0.0, 0.0], Label::Negative), (vec![1.0, 1.0], Label::Positive)];
         let model = Dwknn::fit(5, &small).unwrap();
-        let q = [0.5, 0.5];
-        let qs: Vec<&[f64]> = vec![&q];
-        let tracked = model.predict_proba_batch_tracked(&qs);
+        let q = PointMatrix::from_rows(&[vec![0.5, 0.5]]).unwrap();
+        let mut state = RowState::new(1, 5);
+        state.run(&model, &q, RangePass::Capture).unwrap();
         assert!(
-            tracked.radii2.unwrap()[0].is_infinite(),
+            state.radii2[0].is_infinite(),
             "fewer than k examples: any added point changes the neighbourhood"
         );
+        assert_eq!(state.neighbours, [0, 1, NO_NEIGHBOUR, NO_NEIGHBOUR, NO_NEIGHBOUR]);
     }
 
     #[test]
-    fn clean_points_score_bit_identically_after_append() {
-        // The delta soundness contract end to end: score a query grid and
-        // capture radii under model A; append one training example (the
-        // labeled set is append-only, so B extends A); every point B
-        // reports clean must produce a bit-identical posterior.
+    fn patch_after_append_equals_a_fresh_capture() {
+        // Capture a query grid under model A; append one training example
+        // (the labeled set is append-only, so B extends A); patching under
+        // B must reproduce B's own capture bit for bit while rescoring only
+        // the points whose influence ball holds the new example.
         let examples = cluster_examples();
         let a = Dwknn::fit(3, &examples).unwrap();
-        let grid: Vec<Vec<f64>> = (0..20)
+        let rows: Vec<Vec<f64>> = (0..20)
             .flat_map(|i| (0..20).map(move |j| vec![i as f64 * 0.2 - 2.0, j as f64 * 0.2 - 2.0]))
             .collect();
-        let refs: Vec<&[f64]> = grid.iter().map(|p| p.as_slice()).collect();
-        let before = a.predict_proba_batch_tracked(&refs);
-        let radii2 = before.radii2.unwrap();
+        let grid = PointMatrix::from_rows(&rows).unwrap();
+        let mut patched = RowState::new(grid.len(), 3);
+        patched.run(&a, &grid, RangePass::Capture).unwrap();
 
         let new_point = vec![0.3, -0.2];
         let mut extended = examples.clone();
         extended.push((new_point.clone(), Label::Positive));
         let b = Dwknn::fit(3, &extended).unwrap();
+        let added: Vec<&[f64]> = vec![new_point.as_slice()];
+        let pass = RangePass::Patch { since: examples.len(), added: &added, margin: 0.0 };
+        let rescored = patched.run(&b, &grid, pass).unwrap();
+        assert!(rescored > 0, "points near the insertion must be dirty");
+        assert!(rescored < grid.len(), "a local insertion must leave some points clean");
 
-        let added_refs: Vec<&[f64]> = vec![new_point.as_slice()];
-        let delta = b.model_delta(&refs, &radii2, &added_refs, 0.0);
-        let crate::delta::ModelDelta::Dirty(mask) = delta else {
-            panic!("kNN-family deltas are spatial");
-        };
-        let after = b.predict_proba_batch(&refs);
-        let mut clean = 0;
-        for i in 0..refs.len() {
-            if !mask[i] {
-                clean += 1;
-                assert_eq!(
-                    before.probs[i].to_bits(),
-                    after[i].to_bits(),
-                    "clean point {i} changed score"
-                );
-            }
-        }
-        assert!(clean > 0, "a local insertion must leave some points clean");
-        assert!(clean < refs.len(), "points near the insertion must be dirty");
+        let mut fresh = RowState::new(grid.len(), 3);
+        fresh.run(&b, &grid, RangePass::Capture).unwrap();
+        assert!(patched.bit_eq(&fresh));
+        // A training set shorter than the captured lineage cannot be patched.
+        let stale = RangePass::Patch { since: extended.len() + 1, added: &added, margin: 0.0 };
+        assert_eq!(patched.run(&b, &grid, stale), None);
     }
 }

@@ -6,8 +6,8 @@
 
 use uei_types::{Label, PointMatrix, Result, UeiError};
 
-use crate::delta::{knn_influence_delta, knn_influence_delta_flat, ModelDelta, ScoredBatch};
-use crate::kdtree::{KdTree, NearestScratch};
+use crate::delta::{knn_rescore_range, NeighbourPosterior, RangePass, TrackedRange};
+use crate::kdtree::{KdTree, NearestScratch, Neighbor};
 use crate::model::{check_two_classes, Classifier};
 
 /// Neighbour weighting for [`Knn`].
@@ -58,20 +58,31 @@ impl Knn {
     }
 
     /// The posterior computation with reusable kd-tree scratch — the one
-    /// code path behind both the scalar and batch entry points.
+    /// code path behind both the scalar and batch entry points: one kd-tree
+    /// query, then [`NeighbourPosterior::proba_radius_from`], which the
+    /// incremental patch evaluates too.
     fn proba_with(&self, scratch: &mut NearestScratch, x: &[f64]) -> f64 {
-        self.proba_radius_with(scratch, x).0
+        match self.tree.nearest_with(scratch, x, self.k) {
+            Ok(neighbors) => self.proba_radius_from(&mut (), neighbors).0,
+            Err(_) => 0.5,
+        }
+    }
+}
+
+impl NeighbourPosterior for Knn {
+    type Buf = ();
+
+    fn tree(&self) -> &KdTree {
+        &self.tree
     }
 
-    /// Posterior plus the squared k-th-neighbour distance — the influence
-    /// radius the incremental-rescoring delta relies on. Any query whose
-    /// neighbourhood is unsaturated (or whose traversal failed) reports an
-    /// infinite radius, meaning "always dirty".
-    fn proba_radius_with(&self, scratch: &mut NearestScratch, x: &[f64]) -> (f64, f64) {
-        let neighbors = match self.tree.nearest_with(scratch, x, self.k) {
-            Ok(n) => n,
-            Err(_) => return (0.5, f64::INFINITY),
-        };
+    fn k(&self) -> usize {
+        self.k
+    }
+
+    /// The radius is the squared k-th-neighbour distance; an unsaturated
+    /// neighbourhood reports an infinite radius, meaning "always dirty".
+    fn proba_radius_from(&self, _: &mut (), neighbors: &[Neighbor]) -> (f64, f64) {
         if neighbors.is_empty() {
             return (0.5, f64::INFINITY);
         }
@@ -105,55 +116,18 @@ impl Classifier for Knn {
         crate::batch::map_batch_with(xs, NearestScratch::new, |s, x| self.proba_with(s, x))
     }
 
-    fn predict_proba_batch_tracked(&self, xs: &[&[f64]]) -> ScoredBatch {
-        let pairs = crate::batch::map_batch_with(xs, NearestScratch::new, |s, x| {
-            self.proba_radius_with(s, x)
-        });
-        let mut probs = Vec::with_capacity(pairs.len());
-        let mut radii2 = Vec::with_capacity(pairs.len());
-        for (p, r2) in pairs {
-            probs.push(p);
-            radii2.push(r2);
-        }
-        ScoredBatch { probs, radii2: Some(radii2) }
+    fn neighbour_width(&self) -> Option<usize> {
+        Some(self.k)
     }
 
-    fn model_delta(
-        &self,
-        points: &[&[f64]],
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> ModelDelta {
-        knn_influence_delta(points, radii2, added, margin, self.parallel_batch_threshold())
-    }
-
-    fn model_delta_matrix(
-        &self,
-        points: &PointMatrix,
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> ModelDelta {
-        knn_influence_delta_flat(points, radii2, added, margin, self.parallel_batch_threshold())
-    }
-
-    fn model_delta_matrix_range(
+    fn rescore_range(
         &self,
         points: &PointMatrix,
         rows: std::ops::Range<usize>,
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> ModelDelta {
-        crate::delta::knn_influence_delta_flat_range(
-            points,
-            rows,
-            radii2,
-            added,
-            margin,
-            self.parallel_batch_threshold(),
-        )
+        pass: RangePass<'_>,
+        out: TrackedRange<'_>,
+    ) -> Option<usize> {
+        knn_rescore_range(self, points, rows, pass, out)
     }
 
     fn influence_position(&self, x: &[f64]) -> Option<Vec<f64>> {
@@ -175,6 +149,7 @@ impl Classifier for Knn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::test_support::RowState;
 
     fn examples() -> Vec<(Vec<f64>, Label)> {
         vec![
@@ -220,23 +195,23 @@ mod tests {
     }
 
     #[test]
-    fn tracked_batch_matches_plain_batch() {
+    fn capture_matches_plain_batch_and_patch_skips_far_insertions() {
         let model = Knn::fit_weighted(3, KnnWeighting::InverseDistance, &examples()).unwrap();
-        let queries: Vec<Vec<f64>> = vec![vec![2.5, 2.5], vec![0.0, 0.0], vec![5.05, 5.0]];
-        let refs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
-        let plain = model.predict_proba_batch(&refs);
-        let tracked = model.predict_proba_batch_tracked(&refs);
-        for (a, b) in plain.iter().zip(&tracked.probs) {
+        let queries =
+            PointMatrix::from_rows(&[vec![2.5, 2.5], vec![0.0, 0.0], vec![5.05, 5.0]]).unwrap();
+        let mut state = RowState::new(queries.len(), 3);
+        state.run(&model, &queries, RangePass::Capture).unwrap();
+        let plain = model.predict_proba_batch(&queries.row_refs());
+        for (a, b) in plain.iter().zip(&state.scores) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // Six examples ≥ k = 3: saturated neighbourhoods report finite radii.
-        assert!(tracked.radii2.unwrap().iter().all(|r| r.is_finite()));
+        assert!(state.radii2.iter().all(|r| r.is_finite()));
         // A distant insertion leaves every query clean.
-        let far = [vec![100.0, 100.0]];
-        let far_refs: Vec<&[f64]> = far.iter().map(|p| p.as_slice()).collect();
-        let tracked = model.predict_proba_batch_tracked(&refs);
-        let delta = model.model_delta(&refs, tracked.radii2.as_ref().unwrap(), &far_refs, 0.0);
-        assert_eq!(delta.dirty_count(refs.len()), 0);
+        let far = [100.0, 100.0];
+        let added: Vec<&[f64]> = vec![&far];
+        let pass = RangePass::Patch { since: 6, added: &added, margin: 0.0 };
+        assert_eq!(state.run(&model, &queries, pass), Some(0));
     }
 
     #[test]

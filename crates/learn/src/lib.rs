@@ -56,10 +56,7 @@ pub use batch::{
 };
 pub use committee::Committee;
 pub use dataset::{LabeledSet, UnlabeledPool};
-pub use delta::{
-    knn_influence_delta, knn_influence_delta_flat, knn_influence_delta_flat_range, ModelDelta,
-    ScoredBatch,
-};
+pub use delta::{RangePass, TrackedRange, NO_NEIGHBOUR};
 pub use dwknn::Dwknn;
 pub use expected::{ExpectationConfig, ExpectedErrorReduction, ExpectedModelChange};
 pub use kdtree::{KdTree, NearestScratch};

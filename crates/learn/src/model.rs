@@ -8,7 +8,7 @@
 
 use uei_types::{Label, PointMatrix, Result, UeiError};
 
-use crate::delta::{ModelDelta, ScoredBatch};
+use crate::delta::{RangePass, TrackedRange};
 
 /// A trained binary probabilistic classifier.
 pub trait Classifier: Send + Sync {
@@ -31,109 +31,55 @@ pub trait Classifier: Send + Sync {
         crate::batch::map_batch_at(xs, self.parallel_batch_threshold(), |x| self.predict_proba(x))
     }
 
-    /// [`Self::predict_proba_batch`] plus per-query influence radii, when
-    /// the model can bound its future updates spatially.
-    ///
-    /// `probs` must be bit-identical to `predict_proba_batch(xs)`. The
-    /// kNN-family estimators return each query's squared k-th-neighbour
-    /// distance as its radius — captured during the very same tree
-    /// traversal that scored the query, so tracking costs nothing extra —
-    /// while globally updating models return `radii2: None`. Callers hand
-    /// the radii back verbatim to [`Self::model_delta`]; they are in the
-    /// model's own input space and opaque outside it.
-    fn predict_proba_batch_tracked(&self, xs: &[&[f64]]) -> ScoredBatch {
-        ScoredBatch { probs: self.predict_proba_batch(xs), radii2: None }
+    /// Width of the neighbour lists [`Self::rescore_range`] keeps per
+    /// row (the kNN family's `k`), or `None` when the model cannot rescore
+    /// incrementally — callers then rescore every point on every pass.
+    fn neighbour_width(&self) -> Option<usize> {
+        None
     }
 
-    /// Which of `points`'s cached scores this model may score differently
-    /// than the predecessor model it extends by the `added` training
-    /// examples.
+    /// Rescores the rows `rows` of `points` into caller-owned state
+    /// ([`crate::delta`]): [`RangePass::Capture`] scores every row and
+    /// records its squared influence radius and its
+    /// [`Self::neighbour_width`] neighbour build indices;
+    /// [`RangePass::Patch`] brings state captured under a predecessor model
+    /// (a prefix of this model's training set) up to date, rescoring only
+    /// the rows an added example can influence.
     ///
-    /// `radii2` are the influence radii the *previous* scoring pass
-    /// captured via [`Self::predict_proba_batch_tracked`] (same length and
-    /// order as `points`); `margin ≥ 0` inflates each influence ball by
-    /// `1 + margin` as a safety factor. The contract: a point reported
-    /// clean must produce a bit-identical posterior under `self`. The
-    /// default is the conservative [`ModelDelta::Global`] — correct for
-    /// every model, incremental for none; the kNN family overrides it with
-    /// the strict influence-ball test of
-    /// [`crate::delta::knn_influence_delta`].
-    fn model_delta(
+    /// Returns the number of rows rescored. The contract is strict: after
+    /// either pass every row's score is bit-identical to
+    /// `(out.score)(self.predict_proba(row))`, and its radius and neighbour
+    /// list are bit-identical to what a capture under `self` records, so
+    /// any partition of the rows into ranges gives the same state. `None`
+    /// (the default) means the pass could not run — unsupported model,
+    /// malformed input, broken lineage, NaN geometry — and leaves the
+    /// state undefined: the caller must recapture or fall back.
+    fn rescore_range(
         &self,
-        _points: &[&[f64]],
-        _radii2: &[f64],
-        _added: &[&[f64]],
-        _margin: f64,
-    ) -> ModelDelta {
-        ModelDelta::Global
+        _points: &PointMatrix,
+        _rows: std::ops::Range<usize>,
+        _pass: RangePass<'_>,
+        _out: TrackedRange<'_>,
+    ) -> Option<usize> {
+        None
     }
 
-    /// [`Self::model_delta`] over a flat row-major point matrix — the form
-    /// the index-point rescoring path uses, so the hot loop never
-    /// materializes a `Vec<Vec<f64>>`.
+    /// The image of `x` in the model's *influence space* — the space the
+    /// radii of [`Self::rescore_range`] measure distances in — or `None`
+    /// when the model has no spatial locality structure or cannot map this
+    /// input.
     ///
-    /// Must return the exact same delta as
-    /// `self.model_delta(&points.row_refs(), …)` — the default does
-    /// literally that, and the kNN family overrides it with a blocked sweep
-    /// over the contiguous storage
-    /// ([`crate::delta::knn_influence_delta_flat`]).
-    fn model_delta_matrix(
-        &self,
-        points: &PointMatrix,
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> ModelDelta {
-        let refs = points.row_refs();
-        self.model_delta(&refs, radii2, added, margin)
-    }
-
-    /// [`Self::model_delta_matrix`] restricted to the row range `rows` —
-    /// the shard-local form the partitioned index-point plane calls once
-    /// per shard, in parallel, so each new example's influence ball is
-    /// mapped onto exactly the shards it intersects.
-    ///
-    /// `radii2` holds the radii of the range only (`radii2.len() ==
-    /// rows.len()`) and the returned mask covers the range in row order.
-    /// The contract: for any partition of `0..points.len()` into ranges,
-    /// the concatenation of the range masks must equal
-    /// `self.model_delta_matrix(points, …)` — dirtiness is a per-point
-    /// predicate and must not depend on where shard boundaries fall. The
-    /// default materializes the range's row-refs view and delegates to
-    /// [`Self::model_delta`]; the kNN family overrides it with the blocked
-    /// [`crate::delta::knn_influence_delta_flat_range`] sweep.
-    fn model_delta_matrix_range(
-        &self,
-        points: &PointMatrix,
-        rows: std::ops::Range<usize>,
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> ModelDelta {
-        if rows.start > rows.end || rows.end > points.len() {
-            return ModelDelta::Global;
-        }
-        let refs: Vec<&[f64]> = rows.map(|i| points.row(i)).collect();
-        self.model_delta(&refs, radii2, added, margin)
-    }
-
-    /// The image of `x` in the model's *influence space* — the space its
-    /// reported influence radii ([`ScoredBatch::radii2`]) measure
-    /// distances in — or `None` when the model has no spatial locality
-    /// structure or cannot map this input.
-    ///
-    /// The contract mirrors [`Self::model_delta`]: whenever a query `p`
-    /// and an added example `a` both map to `Some` position, and the
-    /// squared Euclidean distance between those positions is at least
-    /// `r2 * (1 + margin)²` for the finite radius `r2` that
-    /// [`Self::predict_proba_batch_tracked`] reported for `p`, the delta
-    /// must report `p` clean with respect to `a`. Callers use this for
+    /// The contract mirrors [`RangePass::Patch`]: whenever a query `p` and
+    /// an added example `a` both map to `Some` position, and the squared
+    /// Euclidean distance between those positions is at least
+    /// `r2 * (1 + margin)²` for the finite radius `r2` recorded for `p`, a
+    /// patch must leave `p` clean with respect to `a`. Callers use this for
     /// conservative geometric pre-filtering (the sharded index plane skips
     /// whole shards that no inflated influence ball can reach); returning
     /// `None` merely disables that pruning, so the default is always
-    /// sound. Implementations must return `None` for inputs the delta
-    /// path would refuse (wrong dimensionality, untransformable rows)
-    /// rather than guess.
+    /// sound. Implementations must return `None` for inputs the patch
+    /// would refuse (wrong dimensionality, untransformable rows) rather
+    /// than guess.
     fn influence_position(&self, _x: &[f64]) -> Option<Vec<f64>> {
         None
     }
@@ -145,7 +91,8 @@ pub trait Classifier: Send + Sync {
     /// retrained model gained: the exploration loop always retrains on the
     /// full labeled set, so the labeled entries between the previous and
     /// current training lengths are exactly the `added` influence sources
-    /// for [`Self::model_delta`]. Models that cannot report a training
+    /// of a [`RangePass::Patch`], and the training length a capture ran
+    /// under is the patch's `since`. Models that cannot report a training
     /// size return `None`, and callers must fall back to a full rescore.
     fn training_len(&self) -> Option<usize> {
         None
@@ -190,36 +137,17 @@ impl<C: Classifier + ?Sized> Classifier for Box<C> {
     fn predict_proba_batch(&self, xs: &[&[f64]]) -> Vec<f64> {
         (**self).predict_proba_batch(xs)
     }
-    fn predict_proba_batch_tracked(&self, xs: &[&[f64]]) -> ScoredBatch {
-        (**self).predict_proba_batch_tracked(xs)
+    fn neighbour_width(&self) -> Option<usize> {
+        (**self).neighbour_width()
     }
-    fn model_delta(
-        &self,
-        points: &[&[f64]],
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> ModelDelta {
-        (**self).model_delta(points, radii2, added, margin)
-    }
-    fn model_delta_matrix(
-        &self,
-        points: &PointMatrix,
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> ModelDelta {
-        (**self).model_delta_matrix(points, radii2, added, margin)
-    }
-    fn model_delta_matrix_range(
+    fn rescore_range(
         &self,
         points: &PointMatrix,
         rows: std::ops::Range<usize>,
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> ModelDelta {
-        (**self).model_delta_matrix_range(points, rows, radii2, added, margin)
+        pass: RangePass<'_>,
+        out: TrackedRange<'_>,
+    ) -> Option<usize> {
+        (**self).rescore_range(points, rows, pass, out)
     }
     fn influence_position(&self, x: &[f64]) -> Option<Vec<f64>> {
         (**self).influence_position(x)
@@ -370,22 +298,26 @@ mod tests {
     }
 
     #[test]
-    fn default_delta_contract_is_conservative() {
+    fn default_rescore_contract_is_conservative() {
         let model = Constant(0.3);
-        let x = [0.0f64];
-        let xs: Vec<&[f64]> = vec![&x];
-        let tracked = model.predict_proba_batch_tracked(&xs);
-        assert_eq!(tracked.probs, vec![0.3]);
-        assert!(tracked.radii2.is_none(), "a global model reports no influence radii");
-        // Without radii the delta must be invalidate-all, no matter what
-        // was (or wasn't) added.
-        assert_eq!(model.model_delta(&xs, &[], &[], 0.0), crate::delta::ModelDelta::Global);
         let boxed: Box<dyn Classifier> = Box::new(Constant(0.3));
-        assert_eq!(boxed.model_delta(&xs, &[], &xs, 0.5), crate::delta::ModelDelta::Global);
-        assert!(boxed.predict_proba_batch_tracked(&xs).radii2.is_none());
-        // No spatial structure, no influence space: geometric prefiltering
-        // stays disabled by default.
-        assert!(boxed.influence_position(&x).is_none());
+        let points = PointMatrix::from_rows(&[vec![0.0]]).unwrap();
+        let (mut scores, mut radii2, mut neighbours) = ([0.0], [0.0], []);
+        for m in [&model as &dyn Classifier, &boxed] {
+            // A global model keeps no neighbour lists and cannot rescore a
+            // range incrementally: callers rescore every point instead.
+            assert_eq!(m.neighbour_width(), None);
+            let out = TrackedRange {
+                score: &|p| p,
+                scores: &mut scores,
+                radii2: &mut radii2,
+                neighbours: &mut neighbours,
+            };
+            assert_eq!(m.rescore_range(&points, 0..1, RangePass::Capture, out), None);
+            // No spatial structure, no influence space: geometric
+            // prefiltering stays disabled by default.
+            assert!(m.influence_position(&[0.0]).is_none());
+        }
     }
 
     fn xy(examples: &[(f64, f64, Label)]) -> Vec<(Vec<f64>, Label)> {

@@ -8,6 +8,12 @@
 
 use uei_types::{PointMatrix, Result, Schema, UeiError};
 
+use crate::delta::{RangePass, TrackedRange};
+
+/// Rows [`ScaledClassifier::rescore_range`] scales per block into its
+/// reused buffer.
+const SCALE_BLOCK_ROWS: usize = 256;
+
 /// A per-dimension linear map onto `[0, 1]`.
 ///
 /// ```
@@ -98,6 +104,25 @@ impl MinMaxScaler {
         Ok(())
     }
 
+    /// [`Self::transform_into`] over a flat row-major block of `dims()`-wide
+    /// rows, appended to `out` — the same per-coordinate arithmetic, so
+    /// every value is bit-identical to the per-row form. Errors unless the
+    /// block holds a whole number of rows.
+    pub(crate) fn transform_block_into(&self, rows: &[f64], out: &mut Vec<f64>) -> Result<()> {
+        let dims = self.dims();
+        if !rows.len().is_multiple_of(dims) {
+            return Err(UeiError::DimensionMismatch { expected: dims, actual: rows.len() });
+        }
+        out.reserve(rows.len());
+        for row in rows.chunks_exact(dims) {
+            for d in 0..dims {
+                let w = self.hi[d] - self.lo[d];
+                out.push(if w > 0.0 { (row[d] - self.lo[d]) / w } else { 0.5 });
+            }
+        }
+        Ok(())
+    }
+
     /// Maps a unit-cube point back to the original space.
     pub fn inverse(&self, z: &[f64]) -> Result<Vec<f64>> {
         if z.len() != self.dims() {
@@ -183,170 +208,72 @@ impl crate::model::Classifier for ScaledClassifier {
             .collect()
     }
 
-    fn predict_proba_batch_tracked(&self, xs: &[&[f64]]) -> crate::delta::ScoredBatch {
-        // Same splicing as the plain batch path, carrying the inner radii
-        // through when present: invalid rows get the 0.5 fallback with an
-        // infinite radius (always dirty), so the delta stays sound for them.
-        let (matrix, valid) = self.scale_batch(xs);
-        let refs = matrix.row_refs();
-        let inner = self.inner.predict_proba_batch_tracked(&refs);
-        let mut probs_it = inner.probs.into_iter();
-        let probs: Vec<f64> = valid
-            .iter()
-            .map(
-                |&ok| {
-                    if ok {
-                        probs_it.next().expect("one probability per valid row")
-                    } else {
-                        0.5
-                    }
-                },
-            )
-            .collect();
-        let radii2 = inner.radii2.map(|inner_radii| {
-            let mut radii_it = inner_radii.into_iter();
-            valid
-                .iter()
-                .map(|&ok| {
-                    if ok {
-                        radii_it.next().expect("one radius per valid row")
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .collect()
-        });
-        crate::delta::ScoredBatch { probs, radii2 }
+    fn neighbour_width(&self) -> Option<usize> {
+        self.inner.neighbour_width()
     }
 
-    fn model_delta(
-        &self,
-        points: &[&[f64]],
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> crate::delta::ModelDelta {
-        // Radii were produced by the inner model in *scaled* space, so the
-        // geometry test must run there too. An added example that cannot be
-        // transformed leaves the influence source unknown — conservative
-        // global delta; a *point* that cannot be transformed is merely
-        // marked dirty on its own (it always scores the 0.5 fallback).
-        if radii2.len() != points.len() {
-            return crate::delta::ModelDelta::Global;
-        }
-        let mut scaled_added = Vec::with_capacity(added.len());
-        for a in added {
-            match self.scaler.transform(a) {
-                Ok(z) => scaled_added.push(z),
-                Err(_) => return crate::delta::ModelDelta::Global,
-            }
-        }
-        let mut valid_idx = Vec::with_capacity(points.len());
-        let mut scaled_points = PointMatrix::with_capacity(points.len(), self.scaler.dims());
-        let mut valid_radii = Vec::with_capacity(points.len());
-        let mut buf = Vec::with_capacity(self.scaler.dims());
-        for (i, p) in points.iter().enumerate() {
-            if self.scaler.transform_into(p, &mut buf).is_ok()
-                && scaled_points.push_row(&buf).is_ok()
-            {
-                valid_idx.push(i);
-                valid_radii.push(radii2[i]);
-            }
-        }
-        let added_refs: Vec<&[f64]> = scaled_added.iter().map(|z| z.as_slice()).collect();
-        match self.inner.model_delta_matrix(&scaled_points, &valid_radii, &added_refs, margin) {
-            crate::delta::ModelDelta::Global => crate::delta::ModelDelta::Global,
-            crate::delta::ModelDelta::Dirty(sub) => {
-                let mut mask = vec![true; points.len()];
-                for (j, &i) in valid_idx.iter().enumerate() {
-                    mask[i] = sub[j];
-                }
-                crate::delta::ModelDelta::Dirty(mask)
-            }
-        }
-    }
-
-    fn model_delta_matrix(
-        &self,
-        points: &PointMatrix,
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> crate::delta::ModelDelta {
-        // The matrix guarantees uniform dimensionality, so either every row
-        // transforms or none does — no per-row validity splicing needed.
-        if radii2.len() != points.len() {
-            return crate::delta::ModelDelta::Global;
-        }
-        if points.dims() != self.scaler.dims() && !points.is_empty() {
-            return crate::delta::ModelDelta::Global;
-        }
-        let mut scaled_added = Vec::with_capacity(added.len());
-        for a in added {
-            match self.scaler.transform(a) {
-                Ok(z) => scaled_added.push(z),
-                Err(_) => return crate::delta::ModelDelta::Global,
-            }
-        }
-        let mut scaled = PointMatrix::with_capacity(points.len(), self.scaler.dims());
-        let mut buf = Vec::with_capacity(self.scaler.dims());
-        for row in points.rows() {
-            if self.scaler.transform_into(row, &mut buf).is_err() || scaled.push_row(&buf).is_err()
-            {
-                return crate::delta::ModelDelta::Global;
-            }
-        }
-        let added_refs: Vec<&[f64]> = scaled_added.iter().map(|z| z.as_slice()).collect();
-        self.inner.model_delta_matrix(&scaled, radii2, &added_refs, margin)
-    }
-
-    fn model_delta_matrix_range(
+    fn rescore_range(
         &self,
         points: &PointMatrix,
         rows: std::ops::Range<usize>,
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> crate::delta::ModelDelta {
-        // Same geometry-in-scaled-space argument as the full-matrix form,
-        // but only the range's rows are transformed: the shard-parallel
-        // rescoring path calls this once per shard, so the scaling work is
-        // proportional to the shard, not the whole plane. A row that cannot
-        // be transformed degrades this range to Global, which the caller
-        // escalates to a full rescore — exactly what the full-matrix form
-        // would have done for the whole plane.
-        if rows.start > rows.end || rows.end > points.len() || radii2.len() != rows.len() {
-            return crate::delta::ModelDelta::Global;
+        pass: RangePass<'_>,
+        out: TrackedRange<'_>,
+    ) -> Option<usize> {
+        // Radii and neighbour distances live in the inner model's scaled
+        // space, so rows and added examples are scaled first. Rows go
+        // through one reused block buffer and each block is forwarded as a
+        // range of its own: scaling is element-wise and the range contract
+        // is partition-independent, so block boundaries cannot change a
+        // bit. An untransformable added example or row refuses the pass.
+        let width = self.inner.neighbour_width()?;
+        let n = rows.len();
+        let well_formed = rows.start <= rows.end
+            && rows.end <= points.len()
+            && points.dims() == self.scaler.dims()
+            && out.scores.len() == n
+            && out.radii2.len() == n
+            && out.neighbours.len() == n.checked_mul(width)?;
+        if !well_formed {
+            return None;
         }
-        if points.dims() != self.scaler.dims() && !points.is_empty() {
-            return crate::delta::ModelDelta::Global;
-        }
-        let mut scaled_added = Vec::with_capacity(added.len());
-        for a in added {
-            match self.scaler.transform(a) {
-                Ok(z) => scaled_added.push(z),
-                Err(_) => return crate::delta::ModelDelta::Global,
+        let scaled_added: Vec<Vec<f64>>;
+        let added_refs: Vec<&[f64]>;
+        let pass = match pass {
+            RangePass::Capture => RangePass::Capture,
+            RangePass::Patch { since, added, margin } => {
+                scaled_added =
+                    added.iter().map(|a| self.scaler.transform(a)).collect::<Result<_>>().ok()?;
+                added_refs = scaled_added.iter().map(Vec::as_slice).collect();
+                RangePass::Patch { since, added: &added_refs, margin }
             }
+        };
+        let TrackedRange { score, scores, radii2, neighbours } = out;
+        let dims = self.scaler.dims();
+        let raw = &points.as_flat()[rows.start * dims..rows.end * dims];
+        let mut flat = Vec::with_capacity(SCALE_BLOCK_ROWS.min(n) * dims);
+        let mut rescored = 0;
+        for lo in (0..n).step_by(SCALE_BLOCK_ROWS) {
+            let hi = (lo + SCALE_BLOCK_ROWS).min(n);
+            flat.clear();
+            self.scaler.transform_block_into(&raw[lo * dims..hi * dims], &mut flat).ok()?;
+            let block = PointMatrix::from_flat(flat, dims).ok()?;
+            let out = TrackedRange {
+                score,
+                scores: &mut scores[lo..hi],
+                radii2: &mut radii2[lo..hi],
+                neighbours: &mut neighbours[lo * width..hi * width],
+            };
+            rescored += self.inner.rescore_range(&block, 0..hi - lo, pass, out)?;
+            flat = block.into_flat();
         }
-        let mut scaled = PointMatrix::with_capacity(rows.len(), self.scaler.dims());
-        let mut buf = Vec::with_capacity(self.scaler.dims());
-        for i in rows {
-            if self.scaler.transform_into(points.row(i), &mut buf).is_err()
-                || scaled.push_row(&buf).is_err()
-            {
-                return crate::delta::ModelDelta::Global;
-            }
-        }
-        let added_refs: Vec<&[f64]> = scaled_added.iter().map(|z| z.as_slice()).collect();
-        let len = scaled.len();
-        self.inner.model_delta_matrix_range(&scaled, 0..len, radii2, &added_refs, margin)
+        Some(rescored)
     }
 
     fn influence_position(&self, x: &[f64]) -> Option<Vec<f64>> {
         // The inner model's radii live in scaled space, so the influence
         // position is the scaled image; a raw point the scaler rejects has
-        // no known position (the delta path degrades it to Global / dirty,
-        // so pruning against it must be disabled).
+        // no known position (the patch refuses it, so pruning against it
+        // must be disabled).
         self.scaler.transform(x).ok().and_then(|z| self.inner.influence_position(&z))
     }
 
@@ -366,6 +293,7 @@ impl crate::model::Classifier for ScaledClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::test_support::RowState;
     use crate::model::{Classifier, EstimatorKind};
     use uei_types::{Label, Schema};
 
@@ -399,6 +327,18 @@ mod tests {
         assert_eq!(s.transform(&[1.0, 10.0]).unwrap(), vec![0.0, 0.0]);
         assert_eq!(s.transform(&[3.0, 30.0]).unwrap(), vec![1.0, 1.0]);
         assert!(MinMaxScaler::fit(&[]).is_err());
+    }
+
+    #[test]
+    fn block_transform_matches_per_row_bits() {
+        let s = MinMaxScaler::new(vec![0.0, -90.0, 3.0], vec![2048.0, 90.0, 3.0]).unwrap();
+        let rows = [[1.0, 2.0, 3.0], [2047.3, -89.9, 7.0], [1e-9, 0.1, -3.0]];
+        let mut block = Vec::new();
+        s.transform_block_into(rows.as_flattened(), &mut block).unwrap();
+        let per_row: Vec<f64> = rows.iter().flat_map(|r| s.transform(r).unwrap()).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&block), bits(&per_row));
+        assert!(s.transform_block_into(&[1.0, 2.0], &mut block).is_err(), "ragged block");
     }
 
     #[test]
@@ -438,8 +378,8 @@ mod tests {
         // The kNN influence radii live in scaled space, so the position is
         // the scaled image of the raw point.
         assert_eq!(model.influence_position(&[5.0, 1.0]), Some(vec![0.5, 0.25]));
-        // A point the scaler rejects has no position (and the delta path
-        // would degrade it to Global — pruning against it must not happen).
+        // A point the scaler rejects has no position (the patch refuses it,
+        // so pruning against it must not happen).
         assert!(model.influence_position(&[5.0]).is_none());
     }
 
@@ -462,47 +402,53 @@ mod tests {
     }
 
     #[test]
-    fn tracked_and_delta_forward_through_scaling() {
+    fn range_passes_forward_through_scaling_block_by_block() {
         let scaler = MinMaxScaler::new(vec![0.0, -90.0], vec![2048.0, 90.0]).unwrap();
-        let examples = vec![
-            (vec![1000.0, 80.0], Label::Positive),
-            (vec![1010.0, 85.0], Label::Positive),
-            (vec![1000.0, -80.0], Label::Negative),
-            (vec![1010.0, -85.0], Label::Negative),
-        ];
-        let model =
-            ScaledClassifier::train(EstimatorKind::Dwknn { k: 3 }, scaler, &examples).unwrap();
-        let queries: Vec<Vec<f64>> = vec![
-            vec![1005.0, 82.0],
-            vec![1005.0], // wrong dims: spliced 0.5 / infinite radius
-            vec![1005.0, -82.0],
-        ];
-        let refs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
-        let plain = model.predict_proba_batch(&refs);
-        let tracked = model.predict_proba_batch_tracked(&refs);
-        for (a, b) in plain.iter().zip(&tracked.probs) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        // Examples spread over the whole domain, so influence balls are
+        // local.
+        let mut examples: Vec<(Vec<f64>, Label)> = (0..40)
+            .map(|i| {
+                let x = vec![i as f64 * 50.0, ((i * 37) % 180) as f64 - 90.0];
+                (x, Label::from_bool(i % 2 == 0))
+            })
+            .collect();
+        let train = |ex: &[(Vec<f64>, Label)]| {
+            ScaledClassifier::train(EstimatorKind::Dwknn { k: 3 }, scaler.clone(), ex).unwrap()
+        };
+        let a = train(&examples);
+        // More rows than one scaling block, so the forwarding crosses
+        // block boundaries.
+        let rows: Vec<Vec<f64>> =
+            (0..2 * SCALE_BLOCK_ROWS + 7).map(|i| vec![i as f64 * 3.0, (i % 90) as f64]).collect();
+        let grid = PointMatrix::from_rows(&rows).unwrap();
+        let mut patched = RowState::new(grid.len(), 3);
+        assert_eq!(patched.run(&a, &grid, RangePass::Capture), Some(grid.len()));
+        let plain = a.predict_proba_batch(&grid.row_refs());
+        for (x, y) in plain.iter().zip(&patched.scores) {
+            assert_eq!(x.to_bits(), y.to_bits());
         }
-        let radii2 = tracked.radii2.expect("inner DWKNN reports radii");
-        assert!(radii2[0].is_finite());
-        assert!(radii2[1].is_infinite(), "invalid rows must stay always-dirty");
-        assert!(radii2[2].is_finite());
 
-        // A raw-space added point yields a spatial delta (geometry runs in
-        // scaled space); the invalid row is dirty through its ∞ radius.
-        let added = [vec![1005.0, 83.0]];
-        let added_refs: Vec<&[f64]> = added.iter().map(|p| p.as_slice()).collect();
-        match model.model_delta(&refs, &radii2, &added_refs, 0.0) {
-            crate::delta::ModelDelta::Dirty(mask) => assert!(mask[1]),
-            crate::delta::ModelDelta::Global => panic!("scaled kNN delta should be spatial"),
-        }
-        // An added point the scaler cannot transform degrades to Global.
-        let ragged = [vec![1005.0]];
-        let ragged_refs: Vec<&[f64]> = ragged.iter().map(|p| p.as_slice()).collect();
-        assert_eq!(
-            model.model_delta(&refs, &radii2, &ragged_refs, 0.0),
-            crate::delta::ModelDelta::Global
-        );
+        // A raw-space added example is tested in scaled space, and the
+        // patch reproduces a fresh capture of the extended model.
+        let new_point = vec![1005.0, 83.0];
+        examples.push((new_point.clone(), Label::Positive));
+        let b = train(&examples);
+        let added: Vec<&[f64]> = vec![&new_point];
+        let pass = RangePass::Patch { since: 40, added: &added, margin: 0.0 };
+        let rescored = patched.run(&b, &grid, pass).unwrap();
+        assert!(rescored > 0 && rescored < grid.len(), "rescored {rescored}");
+        let mut fresh = RowState::new(grid.len(), 3);
+        fresh.run(&b, &grid, RangePass::Capture).unwrap();
+        assert!(patched.bit_eq(&fresh));
+
+        // An added example the scaler cannot transform refuses the pass,
+        // as do rows of the wrong dimensionality.
+        let ragged = [1005.0];
+        let ragged_added: Vec<&[f64]> = vec![&ragged];
+        let pass = RangePass::Patch { since: 41, added: &ragged_added, margin: 0.0 };
+        assert_eq!(patched.run(&b, &grid, pass), None);
+        let flat = PointMatrix::from_rows(&[vec![1.0]]).unwrap();
+        assert_eq!(RowState::new(1, 3).run(&b, &flat, RangePass::Capture), None);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Property-based tests for the learning toolkit: kd-tree vs brute force,
-//! probability bounds for every classifier, metric identities, and the
-//! scaler.
+//! probability bounds for every classifier, metric identities, the scaler,
+//! and the incremental neighbour-list patch against a fresh capture.
 
 use proptest::prelude::*;
 use uei_learn::kdtree::{KdTree, NearestScratch};
 use uei_learn::metrics::{set_f_measure, ConfusionMatrix};
 use uei_learn::strategy::UncertaintyMeasure;
-use uei_learn::{Classifier, Committee, EstimatorKind, MinMaxScaler, ScaledClassifier};
+use uei_learn::{
+    Classifier, Committee, EstimatorKind, MinMaxScaler, RangePass, ScaledClassifier, TrackedRange,
+    NO_NEIGHBOUR,
+};
 use uei_types::point::squared_distance;
-use uei_types::{Label, Region};
+use uei_types::{Label, PointMatrix, Region};
 
 fn points_strategy(dims: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     proptest::collection::vec(proptest::collection::vec(-100.0f64..100.0, dims), 1..80)
@@ -308,5 +311,235 @@ proptest! {
         for (x, label) in &examples {
             prop_assert_eq!(model.predict(x), *label);
         }
+    }
+}
+
+/// Whole-plane rescoring state, as the index plane keeps it; scores hold
+/// raw posteriors so probabilities compare directly.
+#[derive(Clone)]
+struct PlaneState {
+    probs: Vec<f64>,
+    radii2: Vec<f64>,
+    neighbours: Vec<u32>,
+    width: usize,
+}
+
+impl PlaneState {
+    fn new(rows: usize, width: usize) -> PlaneState {
+        PlaneState {
+            probs: vec![0.0; rows],
+            radii2: vec![0.0; rows],
+            neighbours: vec![NO_NEIGHBOUR; rows * width],
+            width,
+        }
+    }
+
+    /// Runs `pass` over `shards` contiguous near-even row ranges and sums
+    /// the rescored counts.
+    fn run(
+        &mut self,
+        model: &dyn Classifier,
+        points: &PointMatrix,
+        pass: RangePass<'_>,
+        shards: usize,
+    ) -> Option<usize> {
+        let n = points.len();
+        let mut total = 0;
+        for s in 0..shards {
+            let (lo, hi) = (n * s / shards, n * (s + 1) / shards);
+            let out = TrackedRange {
+                score: &|p| p,
+                scores: &mut self.probs[lo..hi],
+                radii2: &mut self.radii2[lo..hi],
+                neighbours: &mut self.neighbours[lo * self.width..hi * self.width],
+            };
+            total += model.rescore_range(points, lo..hi, pass, out)?;
+        }
+        Some(total)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+}
+
+/// Coordinates on a 0.5-spaced lattice of `[0, 3]²`: duplicate-heavy, and
+/// every distance is exact, so ties and on-radius insertions really occur.
+fn lattice_point() -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec((0u8..7).prop_map(|v| f64::from(v) * 0.5), 2)
+}
+
+/// A lattice point or an arbitrary one in `[-100, 100)²`, about half each:
+/// arbitrary coordinates make squared distances inexact, so the patch's
+/// scalar kernel and the kd-tree's block kernel must agree in every bit.
+fn mixed_point() -> impl Strategy<Value = Vec<f64>> {
+    (any::<bool>(), lattice_point(), proptest::collection::vec(-100.0f64..100.0, 2))
+        .prop_map(|(lattice, l, a)| if lattice { l } else { a })
+}
+
+/// One patch-versus-capture scenario.
+struct PatchCase {
+    dwknn: bool,
+    scaled: bool,
+    k: usize,
+    base: Vec<Vec<f64>>,
+    appended: Vec<Vec<f64>>,
+    stray: Vec<Vec<f64>>,
+    on_radius: bool,
+    margin: f64,
+    shards: usize,
+    queries: Vec<Vec<f64>>,
+    scaler: MinMaxScaler,
+}
+
+/// Patching the state captured under model A with the examples B appends
+/// must reproduce B's own from-scratch capture bit for bit — probabilities,
+/// radii, neighbour lists — at any range partition, rescoring exactly the
+/// rows the influence-ball predicate marks.
+fn check_patch_matches_capture(case: PatchCase) -> Result<(), TestCaseError> {
+    let PatchCase {
+        dwknn,
+        scaled,
+        k,
+        base,
+        mut appended,
+        stray,
+        on_radius,
+        margin,
+        shards,
+        queries,
+        scaler,
+    } = case;
+    let kind = if dwknn { EstimatorKind::Dwknn { k } } else { EstimatorKind::Knn { k } };
+    let train = |ex: &[(Vec<f64>, Label)]| -> Box<dyn Classifier> {
+        if scaled {
+            Box::new(ScaledClassifier::train(kind, scaler.clone(), ex).unwrap())
+        } else {
+            kind.train(ex).unwrap()
+        }
+    };
+    let label = |i: usize| Label::from_bool(i.is_multiple_of(2));
+    let mut examples: Vec<(Vec<f64>, Label)> =
+        base.iter().cloned().enumerate().map(|(i, x)| (x, label(i))).collect();
+    let points = PointMatrix::from_rows(&queries).unwrap();
+    let a = train(&examples);
+    prop_assert_eq!(a.neighbour_width(), Some(k));
+    let mut patched = PlaneState::new(points.len(), k);
+    prop_assert_eq!(
+        patched.run(a.as_ref(), &points, RangePass::Capture, shards),
+        Some(points.len())
+    );
+    let before = patched.clone();
+
+    let since = examples.len();
+    if on_radius && before.radii2[0].is_finite() {
+        // A duplicate of query 0's k-th neighbour sits exactly on its
+        // radius and must lose the tie.
+        let kth = before.neighbours[k - 1] as usize;
+        appended[0] = examples[kth].0.clone();
+    }
+    for (i, x) in appended.iter().enumerate() {
+        examples.push((x.clone(), label(since + i)));
+    }
+    let b = train(&examples);
+    // `added` may be a superset of what B gained.
+    let added: Vec<&[f64]> = appended.iter().chain(&stray).map(|x| x.as_slice()).collect();
+    let pass = RangePass::Patch { since, added: &added, margin };
+    let rescored = patched.run(b.as_ref(), &points, pass, shards);
+    prop_assert!(rescored.is_some(), "a well-formed patch must run");
+
+    let mut fresh = PlaneState::new(points.len(), k);
+    fresh.run(b.as_ref(), &points, RangePass::Capture, 1).unwrap();
+    prop_assert_eq!(PlaneState::bits(&patched.probs), PlaneState::bits(&fresh.probs));
+    prop_assert_eq!(PlaneState::bits(&patched.radii2), PlaneState::bits(&fresh.radii2));
+    prop_assert_eq!(&patched.neighbours, &fresh.neighbours);
+    let plain = b.predict_proba_batch(&points.row_refs());
+    prop_assert_eq!(PlaneState::bits(&plain), PlaneState::bits(&fresh.probs));
+
+    // The dirty count is the influence-ball predicate, evaluated in the
+    // model's own (scaled) space.
+    let space = |x: &[f64]| if scaled { scaler.transform(x).unwrap() } else { x.to_vec() };
+    let inflate = (1.0 + margin) * (1.0 + margin);
+    let dirty = queries
+        .iter()
+        .zip(&before.radii2)
+        .filter(|(q, &r2)| {
+            !r2.is_finite()
+                || added
+                    .iter()
+                    .any(|a| squared_distance(&space(q), &space(a)).unwrap() < r2 * inflate)
+        })
+        .count();
+    prop_assert_eq!(rescored, Some(dirty));
+    Ok(())
+}
+
+/// Query points offset half a lattice step from the example lattice.
+fn lattice_queries() -> Vec<Vec<f64>> {
+    (0..7)
+        .flat_map(|i| (0..7).map(move |j| vec![f64::from(i) * 0.5 + 0.25, f64::from(j) * 0.5]))
+        .collect()
+}
+
+fn k_strategy() -> impl Strategy<Value = usize> {
+    (0usize..4).prop_map(|i| [1usize, 3, 5, 8][i])
+}
+
+fn margin_strategy() -> impl Strategy<Value = f64> {
+    (0usize..2).prop_map(|i| [0.0, 0.25][i])
+}
+
+fn shards_strategy() -> impl Strategy<Value = usize> {
+    (0usize..3).prop_map(|i| [1usize, 2, 8][i])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn neighbour_patch_equals_a_fresh_capture(
+        dwknn in any::<bool>(),
+        scaled in any::<bool>(),
+        k in k_strategy(),
+        base in proptest::collection::vec(lattice_point(), 2..14),
+        appended in proptest::collection::vec(lattice_point(), 1..4),
+        stray in proptest::collection::vec(lattice_point(), 0..3),
+        on_radius in any::<bool>(),
+        margin in margin_strategy(),
+        shards in shards_strategy(),
+    ) {
+        // Exact distances under the power-of-two scaler: ties and
+        // on-radius duplicates are frequent.
+        let scaler = MinMaxScaler::new(vec![0.0, 0.0], vec![4.0, 4.0]).unwrap();
+        check_patch_matches_capture(PatchCase {
+            dwknn, scaled, k, base, appended, stray, on_radius, margin, shards,
+            queries: lattice_queries(),
+            scaler,
+        })?;
+    }
+
+    #[test]
+    fn neighbour_patch_equals_a_fresh_capture_at_inexact_distances(
+        dwknn in any::<bool>(),
+        scaled in any::<bool>(),
+        k in k_strategy(),
+        base in proptest::collection::vec(mixed_point(), 2..14),
+        appended in proptest::collection::vec(mixed_point(), 1..4),
+        stray in proptest::collection::vec(mixed_point(), 0..3),
+        on_radius in any::<bool>(),
+        margin in margin_strategy(),
+        shards in shards_strategy(),
+        extra in proptest::collection::vec(mixed_point(), 0..16),
+    ) {
+        // Arbitrary coordinates and a scaler whose width is not a power of
+        // two: distances round, so only a kernel that matches the kd-tree's
+        // bit for bit keeps the dirty set, the on-radius tie and the
+        // rebuilt lists identical.
+        let scaler = MinMaxScaler::new(vec![-100.0, -100.0], vec![100.0, 100.0]).unwrap();
+        let mut queries = extra;
+        queries.extend(lattice_queries());
+        check_patch_matches_capture(PatchCase {
+            dwknn, scaled, k, base, appended, stray, on_radius, margin, shards, queries, scaler,
+        })?;
     }
 }

@@ -231,6 +231,12 @@ impl PointMatrix {
         Ok(())
     }
 
+    /// Unwraps the flat row-major buffer (the inverse of
+    /// [`Self::from_flat`]), so a scratch block's allocation can be reused.
+    pub fn into_flat(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.data.len().checked_div(self.dims).unwrap_or(0)
@@ -266,8 +272,8 @@ impl PointMatrix {
         self.data.chunks_exact(self.dims.max(1))
     }
 
-    /// One `&[f64]` per row — the borrowed form the batch-scoring APIs
-    /// (`predict_proba_batch`, `model_delta`) take.
+    /// One `&[f64]` per row — the borrowed form the batch-scoring API
+    /// (`predict_proba_batch`) takes.
     pub fn row_refs(&self) -> Vec<&[f64]> {
         self.rows().collect()
     }

@@ -75,8 +75,9 @@ test -s "$tmp/BENCH_multi_session.json"
 # Smoke-run the rescore bench: incremental vs. full index-point rescoring
 # on a small grid. The binary asserts the two paths hold bit-identical
 # scores after every iteration, that no incremental pass rescores more
-# than |P| points (cache accounting sanity), and that rescored + cached
-# covers every point every iteration.
+# than |P| points (cache accounting sanity), that rescored + cached
+# covers every point every iteration, and that no kNN-family incremental
+# pass fell back to a full kd-tree rescore.
 echo "==> rescore_bench --smoke"
 cargo run -p uei-bench --release --bin rescore_bench -- --smoke --out "$tmp/BENCH_rescore.json"
 test -s "$tmp/BENCH_rescore.json"
